@@ -19,6 +19,8 @@
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "offline/offline_cleaner.h"
+#include "plan/planner.h"
+#include "query/parser.h"
 
 namespace daisy {
 namespace bench {
@@ -101,10 +103,12 @@ inline OfflineRun RunOfflineWorkload(Database* db, const ConstraintSet& rules,
   OfflineCleaner cleaner(db, &rules);
   (void)UnwrapOrDie(cleaner.CleanAll(), "offline CleanAll");
   run.clean_seconds = clean_timer.ElapsedSeconds();
-  QueryExecutor exec(db);
+  Planner planner(db);
   for (const std::string& sql : queries) {
     Timer t;
-    (void)UnwrapOrDie(exec.Execute(sql), sql.c_str());
+    SelectStmt stmt = UnwrapOrDie(ParseQuery(sql), sql.c_str());
+    Plan plan = UnwrapOrDie(planner.PlanQuery(stmt), sql.c_str());
+    (void)UnwrapOrDie(plan.Execute(), sql.c_str());
     const double sec = t.ElapsedSeconds();
     run.per_query_seconds.push_back(sec);
     run.query_seconds += sec;

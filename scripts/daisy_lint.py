@@ -23,6 +23,12 @@ Rules (each scoped to the directories where the invariant applies):
               the protocol. ``std::thread`` is additionally confined to
               the approved worker-pool files.
 
+  raw-getenv  [src/, tools/]   No ``getenv`` outside
+              src/clean/daisy_engine.cc. Environment overrides are read
+              in one place (ApplyEnvOverrides) with one strict parser, so
+              every DAISY_* variable means the same thing to every
+              consumer.
+
   test-nondet [tests/]         No nondeterminism sources on test golden
               paths: ``std::random_device``, ``srand``/``rand``,
               ``time(nullptr)``. Tests seed their PRNGs with constants so
@@ -48,6 +54,9 @@ RAW_IO_EXEMPT = {
 }
 RAW_STDERR_EXEMPT = {
     "src/common/logger.cc",  # the one sanctioned stderr writer
+}
+RAW_GETENV_EXEMPT = {
+    "src/clean/daisy_engine.cc",  # ApplyEnvOverrides: the one env reader
 }
 RAW_THREAD_EXEMPT = {
     "src/common/mutex.h",
@@ -109,6 +118,16 @@ RULES = [
         "patterns": [
             (re.compile(r"\bstd::thread\b"),
              "std::thread outside the approved worker-pool files"),
+        ],
+    },
+    {
+        "name": "raw-getenv",
+        "dirs": ("src", "tools"),
+        "exempt": RAW_GETENV_EXEMPT,
+        "patterns": [
+            (re.compile(r"\bgetenv\s*\("),
+             "environment read outside ApplyEnvOverrides "
+             "(src/clean/daisy_engine.cc); add a DaisyOptions field there"),
         ],
     },
     {

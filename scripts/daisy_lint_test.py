@@ -71,6 +71,18 @@ FIXTURES = [
      "#include <mutex>\nstd::mutex mu;\n", 1),
     ("wrapper header exempt", "src/common/mutex.h",
      "#include <mutex>\nstd::mutex mu;\nstd::condition_variable cv;\n", 0),
+    # --- raw-getenv ---
+    ("std::getenv flagged in src", "src/x/o.cc",
+     '#include <cstdlib>\nconst char* v = std::getenv("DAISY_X");\n', 1),
+    ("bare getenv flagged in tools", "tools/p_main.cc",
+     '#include <cstdlib>\nint main() { return getenv("X") != nullptr; }\n',
+     1),
+    ("getenv exempt in daisy_engine.cc", "src/clean/daisy_engine.cc",
+     '#include <cstdlib>\nconst char* v = std::getenv("DAISY_X");\n', 0),
+    ("getenv in comment ignored", "src/x/q.cc",
+     "// never std::getenv(\"DAISY_X\") here\nint x;\n", 0),
+    ("getenv not scoped to tests", "tests/g_test.cpp",
+     '#include <cstdlib>\nconst char* v = std::getenv("DAISY_X");\n', 0),
     # --- test-nondet ---
     ("random_device flagged in tests", "tests/b_test.cpp",
      "#include <random>\nstd::random_device rd;\n", 1),

@@ -33,7 +33,6 @@
 #include "detect/fd_delta.h"
 #include "persist/group_commit.h"
 #include "plan/planner.h"
-#include "query/executor.h"
 #include "storage/database.h"
 
 namespace daisy {

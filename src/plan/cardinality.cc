@@ -134,7 +134,7 @@ double CardinalityEstimator::FilteredRows(size_t t, const Expr* expr) const {
 }
 
 double CardinalityEstimator::JoinSelectivity(
-    const SplitWhere::JoinPred& pred) const {
+    const JoinPred& pred) const {
   const size_t ndv =
       std::max(RobustDistinctCount(pred.left_table, pred.left_col),
                RobustDistinctCount(pred.right_table, pred.right_col));
@@ -143,7 +143,7 @@ double CardinalityEstimator::JoinSelectivity(
 
 double CardinalityEstimator::JoinOutputRows(
     double left_rows, double right_rows,
-    const SplitWhere::JoinPred& pred) const {
+    const JoinPred& pred) const {
   return std::max(0.0, left_rows * right_rows * JoinSelectivity(pred));
 }
 

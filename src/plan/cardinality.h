@@ -29,8 +29,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "plan/plan_node.h"
 #include "query/ast.h"
-#include "query/executor.h"
 #include "storage/table.h"
 
 namespace daisy {
@@ -55,11 +55,11 @@ class CardinalityEstimator {
 
   /// Equi-join selectivity of `pred`: 1 / max(ndv(left), ndv(right)),
   /// with both ndv values outlier-trimmed (RobustDistinctCount).
-  double JoinSelectivity(const SplitWhere::JoinPred& pred) const;
+  double JoinSelectivity(const JoinPred& pred) const;
 
   /// left_rows x right_rows x JoinSelectivity, floored at 0.
   double JoinOutputRows(double left_rows, double right_rows,
-                        const SplitWhere::JoinPred& pred) const;
+                        const JoinPred& pred) const;
 
   /// Distinct-value count of (table, column) from the ColumnCache
   /// dictionary; always >= 1 so it can be divided by.

@@ -9,22 +9,22 @@
 namespace daisy {
 
 bool JoinReorderExact(size_t num_tables,
-                      const std::vector<SplitWhere::JoinPred>& joins) {
+                      const std::vector<JoinPred>& joins) {
   if (num_tables < 2 || num_tables > kMaxOptimizerTables) return false;
   if (joins.size() != num_tables - 1) return false;
-  for (const SplitWhere::JoinPred& p : joins) {
+  for (const JoinPred& p : joins) {
     if (p.left_table >= num_tables || p.right_table >= num_tables ||
         p.left_table == p.right_table) {
       return false;
     }
   }
-  // Replay the naive executor's binding walk: each new FROM table must be
+  // Replay the FROM-order binding walk: each new FROM table must be
   // reached by exactly one predicate into the already-bound prefix (zero
-  // means a cartesian step, two+ means naive drops a predicate).
+  // means a cartesian step, two+ a composite or cyclic join).
   uint64_t bound = 1;
   for (size_t t = 1; t < num_tables; ++t) {
     size_t cross = 0;
-    for (const SplitWhere::JoinPred& p : joins) {
+    for (const JoinPred& p : joins) {
       const bool connects =
           (p.left_table == t && ((bound >> p.right_table) & 1u) != 0) ||
           (p.right_table == t && ((bound >> p.left_table) & 1u) != 0);
@@ -39,7 +39,7 @@ bool JoinReorderExact(size_t num_tables,
 
 std::unique_ptr<JoinTree> EnumerateJoinOrder(
     const CardinalityEstimator& est,
-    const std::vector<SplitWhere::JoinPred>& joins,
+    const std::vector<JoinPred>& joins,
     const std::vector<double>& leaf_rows) {
   const size_t n = leaf_rows.size();
   if (!JoinReorderExact(n, joins)) return nullptr;
@@ -84,7 +84,7 @@ std::unique_ptr<JoinTree> EnumerateJoinOrder(
       size_t pred_idx = joins.size();
       size_t cross = 0;
       for (size_t j = 0; j < joins.size(); ++j) {
-        const SplitWhere::JoinPred& p = joins[j];
+        const JoinPred& p = joins[j];
         const bool lr = ((sub >> p.left_table) & 1u) != 0 &&
                         ((rest >> p.right_table) & 1u) != 0;
         const bool rl = ((rest >> p.left_table) & 1u) != 0 &&
@@ -106,10 +106,10 @@ std::unique_ptr<JoinTree> EnumerateJoinOrder(
         // The build side is NOT a cost choice: possible-candidate matching
         // is orientation-dependent (a build cell's range candidates go to a
         // linear side list; a probe cell's range candidates fall back to
-        // its original value), and the naive executor always hashes the
+        // its original value), and the FROM-order tree always hashes the
         // predicate endpoint with the later FROM position. Keeping that
         // orientation is what makes any join order bit-identical.
-        const SplitWhere::JoinPred& jp = joins[pred_idx];
+        const JoinPred& jp = joins[pred_idx];
         const size_t hash_end = std::max(jp.left_table, jp.right_table);
         target.build_left = ((sub >> hash_end) & 1u) != 0;
         target.from = -1;
@@ -130,7 +130,7 @@ std::unique_ptr<JoinTree> EnumerateJoinOrder(
       node->est_cost = e.cost;
       node->from = e.from;
       if (e.from < 0) {
-        node->pred_idx = e.pred;
+        node->preds = {e.pred};
         node->build_left = e.build_left;
         node->left = (*this)(e.left);
         node->right = (*this)(e.right);

@@ -5,17 +5,18 @@
 // decisions from the CardinalityEstimator's statistics:
 //
 //  1. Join order — dpsize dynamic programming over the FROM set produces
-//     the cheapest *binary* join tree (bushy allowed). The hash build side
-//     of every join is NOT cost-chosen: possible-candidate matching is
-//     orientation-dependent (range candidates are handled on the build
-//     side only), so each join hashes the side holding the predicate
-//     endpoint the naive executor hashes — the later FROM position.
-//     Reordering is only attempted when `JoinReorderExact` proves the
-//     query is inside the regime where the naive left-deep executor
-//     applies every predicate (spanning-tree joins walked connectedly by
-//     the FROM order): there, any tree that applies each predicate exactly
-//     once yields the same tuple set, and the root's canonical row-id sort
-//     (HashJoinStepNode::set_sort_output) makes the bytes identical too.
+//     the cheapest *binary* join tree (bushy allowed) of HashJoinNode
+//     steps, the same operator the planner's FROM-order tree uses when
+//     the optimizer is off. The hash build side of every join is NOT
+//     cost-chosen: possible-candidate matching is orientation-dependent
+//     (range candidates are handled on the build side only), so each join
+//     hashes the side holding the predicate endpoint the FROM-order tree
+//     hashes — the later FROM position. Reordering is only attempted when
+//     `JoinReorderExact` proves the query is a spanning-tree join walked
+//     connectedly by the FROM order: there, any tree that applies each
+//     predicate exactly once yields the same tuple set, and the root's
+//     canonical row-id sort (HashJoinNode::set_sort_output) makes the
+//     bytes identical too.
 //
 //  2. cleanσ placement — a rule's CleanSelect can run before the join (the
 //     paper's default: clean the qualifying rows of its table) or after it
@@ -39,7 +40,7 @@
 #include <vector>
 
 #include "plan/cardinality.h"
-#include "query/executor.h"
+#include "plan/plan_node.h"
 
 namespace daisy {
 
@@ -48,20 +49,22 @@ struct FdRuleStats;
 
 /// Upper bound on FROM tables the DP enumerator handles (2^n state table;
 /// the paper's workloads top out at 4-5 tables). Queries beyond it keep
-/// the naive left-deep order.
+/// the left-deep FROM order.
 constexpr size_t kMaxOptimizerTables = 12;
 
-/// One node of the optimizer's chosen binary join tree over FROM
-/// positions. Leaves carry a FROM index; internal nodes carry the single
-/// predicate connecting their two subtrees plus the build side (the
-/// subtree holding the predicate's later-FROM endpoint — see above).
+/// One node of a binary join tree over FROM positions: the optimizer's
+/// chosen tree, or the planner's FROM-order tree. Leaves carry a FROM
+/// index; internal nodes carry the predicates connecting their two
+/// subtrees (the DP picks exactly one; the FROM-order tree every one,
+/// possibly none) plus the build side (the subtree holding the first
+/// predicate's later-FROM endpoint — see above).
 struct JoinTree {
   uint64_t mask = 0;        ///< FROM tables covered by this subtree
-  double est_rows = 0.0;    ///< estimated output cardinality
-  double est_cost = 0.0;    ///< cumulative cost (children + own work)
+  double est_rows = -1.0;   ///< estimated output rows; negative = unestimated
+  double est_cost = -1.0;   ///< cumulative cost (children + own work)
   int from = -1;            ///< leaf: FROM index; -1 for internal nodes
-  size_t pred_idx = 0;      ///< internal: index into the joins vector
-  bool build_left = false;  ///< internal: hash build side
+  std::vector<size_t> preds;  ///< internal: indices into the joins vector
+  bool build_left = false;    ///< internal: hash build side
   std::unique_ptr<JoinTree> left;
   std::unique_ptr<JoinTree> right;
 };
@@ -69,16 +72,15 @@ struct JoinTree {
 /// True when reordering the join is provably output-exact: exactly n-1
 /// predicates, none within a single table, forming a spanning tree that
 /// the FROM order walks connectedly with exactly one predicate binding
-/// each new table. The naive executor applies only the *first* predicate
-/// connecting each table (silently dropping extras) and falls back to
-/// cartesian products on disconnected steps, so outside this regime the
-/// naive plan's semantics are order-dependent and the optimizer must not
-/// touch it. Inside it, every plan that applies each predicate exactly
-/// once computes the same tuple set — and in a spanning tree two disjoint
-/// connected subsets share at most one edge, which is what lets the DP
-/// insist on exactly one connecting predicate per join.
+/// each new table. Inside this regime every plan that applies each
+/// predicate exactly once computes the same tuple set, and in a spanning
+/// tree two disjoint connected subsets share at most one edge — which is
+/// what lets the DP join on exactly one predicate per split. Composite
+/// keys, cycles and cartesian steps fall outside it: they need a join
+/// carrying several predicates or none, which the DP does not enumerate,
+/// so those plans keep the FROM-order tree.
 bool JoinReorderExact(size_t num_tables,
-                      const std::vector<SplitWhere::JoinPred>& joins);
+                      const std::vector<JoinPred>& joins);
 
 /// dpsize join enumeration: bottom-up over subset sizes, keeping the
 /// cheapest tree per connected table subset. Cost of a join is the
@@ -89,7 +91,7 @@ bool JoinReorderExact(size_t num_tables,
 /// the first candidate in subset-enumeration order.
 std::unique_ptr<JoinTree> EnumerateJoinOrder(
     const CardinalityEstimator& est,
-    const std::vector<SplitWhere::JoinPred>& joins,
+    const std::vector<JoinPred>& joins,
     const std::vector<double>& leaf_rows);
 
 /// Estimated cleaning cost per input row for one rule. Prefers the

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "detect/group_by.h"
 #include "query/eval.h"
 
 namespace daisy {
@@ -350,66 +350,53 @@ Result<bool> CleanSelectNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
   return true;
 }
 
-// ------------------------------------------------------------------ Join --
+// -------------------------------------------------------------- HashJoin --
 
-JoinNode::JoinNode(Kind kind, const std::vector<const Table*>* tables,
-                   const std::vector<SplitWhere::JoinPred>* joins,
-                   std::vector<std::unique_ptr<PlanNode>> children)
-    : JoinSourceNode(kind), tables_(tables), joins_(joins) {
-  children_ = std::move(children);
-}
+namespace {
 
-std::string JoinNode::Label() const {
-  std::ostringstream oss;
-  oss << (kind_ == Kind::kCleanJoin ? "CleanJoin [" : "HashJoin [");
-  if (joins_->empty()) {
-    oss << "cartesian";
-  } else {
-    for (size_t i = 0; i < joins_->size(); ++i) {
-      const SplitWhere::JoinPred& p = (*joins_)[i];
-      if (i > 0) oss << ", ";
-      oss << (*tables_)[p.left_table]->name() << "."
-          << (*tables_)[p.left_table]->schema().column(p.left_col).name
-          << " = " << (*tables_)[p.right_table]->name() << "."
-          << (*tables_)[p.right_table]->schema().column(p.right_col).name;
+// The possible-candidate equality the hash probe implements, for one
+// (probe, build) pair: a possible value of the probe cell equals one of
+// the build cell's hash keys (its point candidates, or its original when
+// certain), or the build cell carries a range candidate CellsMayMatch
+// admits.
+bool KeysMayMatch(const Cell& probe, const Cell& build) {
+  const std::vector<Value> probe_values = probe.PossibleValues();
+  if (!build.is_probabilistic()) {
+    return std::find(probe_values.begin(), probe_values.end(),
+                     build.original()) != probe_values.end();
+  }
+  bool has_range = false;
+  for (const Candidate& c : build.candidates()) {
+    if (c.kind != CandidateKind::kPoint) {
+      has_range = true;
+      continue;
+    }
+    if (std::find(probe_values.begin(), probe_values.end(), c.value) !=
+        probe_values.end()) {
+      return true;
     }
   }
-  oss << "]";
-  return oss.str();
+  return has_range && CellsMayMatch(probe, CompareOp::kEq, build);
 }
 
-Result<std::vector<JoinedRow>> JoinNode::ExecuteJoined(ExecContext* ctx) {
-  NodeStatsTimer timer(&stats_.open_us);
-  std::vector<std::vector<RowId>> qualifying;
-  qualifying.reserve(children_.size());
-  for (const auto& child : children_) {
-    DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-    auto* rows_child = static_cast<RowSetNode*>(child.get());
-    DAISY_ASSIGN_OR_RETURN(std::vector<RowId> rows, rows_child->Drain(ctx));
-    stats_.rows_in += rows.size();
-    qualifying.push_back(std::move(rows));
-  }
-  DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-  DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> joined,
-                         JoinTables(*tables_, qualifying, *joins_));
-  stats_.rows_out = joined.size();
-  ++stats_.batches;
-  return joined;
+std::string PredToString(const std::vector<const Table*>& tables,
+                         const JoinPred& p) {
+  return tables[p.left_table]->name() + "." +
+         tables[p.left_table]->schema().column(p.left_col).name + " = " +
+         tables[p.right_table]->name() + "." +
+         tables[p.right_table]->schema().column(p.right_col).name;
 }
 
-// ---------------------------------------------------------- HashJoinStep --
+}  // namespace
 
-HashJoinStepNode::HashJoinStepNode(Kind kind,
-                                   const std::vector<const Table*>* tables,
-                                   SplitWhere::JoinPred pred,
-                                   uint64_t left_mask, uint64_t right_mask,
-                                   int left_from, int right_from,
-                                   bool build_left,
-                                   std::unique_ptr<PlanNode> left,
-                                   std::unique_ptr<PlanNode> right)
+HashJoinNode::HashJoinNode(Kind kind, const std::vector<const Table*>* tables,
+                           std::vector<JoinPred> preds, uint64_t left_mask,
+                           uint64_t right_mask, int left_from, int right_from,
+                           bool build_left, std::unique_ptr<PlanNode> left,
+                           std::unique_ptr<PlanNode> right)
     : JoinSourceNode(kind),
       tables_(tables),
-      pred_(pred),
+      preds_(std::move(preds)),
       left_mask_(left_mask),
       right_mask_(right_mask),
       left_from_(left_from),
@@ -419,19 +406,20 @@ HashJoinStepNode::HashJoinStepNode(Kind kind,
   children_.push_back(std::move(right));
 }
 
-std::string HashJoinStepNode::Label() const {
+std::string HashJoinNode::Label() const {
   std::ostringstream oss;
-  oss << (kind_ == Kind::kCleanJoin ? "CleanJoin [" : "HashJoin [")
-      << (*tables_)[pred_.left_table]->name() << "."
-      << (*tables_)[pred_.left_table]->schema().column(pred_.left_col).name
-      << " = " << (*tables_)[pred_.right_table]->name() << "."
-      << (*tables_)[pred_.right_table]->schema().column(pred_.right_col).name
-      << "] [build=" << (build_left_ ? "left" : "right") << "]";
+  oss << (kind_ == Kind::kCleanJoin ? "CleanJoin [" : "HashJoin [");
+  if (preds_.empty()) oss << "cartesian";
+  for (size_t i = 0; i < preds_.size(); ++i) {
+    if (i > 0) oss << ", ";
+    oss << PredToString(*tables_, preds_[i]);
+  }
+  oss << "] [build=" << (build_left_ ? "left" : "right") << "]";
   return oss.str();
 }
 
-Result<std::vector<JoinedRow>> HashJoinStepNode::SideRows(ExecContext* ctx,
-                                                          size_t side) {
+Result<std::vector<JoinedRow>> HashJoinNode::SideRows(ExecContext* ctx,
+                                                      size_t side) {
   PlanNode* child = children_[side].get();
   const int from = side == 0 ? left_from_ : right_from_;
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
@@ -450,103 +438,130 @@ Result<std::vector<JoinedRow>> HashJoinStepNode::SideRows(ExecContext* ctx,
   return static_cast<JoinSourceNode*>(child)->ExecuteJoined(ctx);
 }
 
-Result<std::vector<JoinedRow>> HashJoinStepNode::ExecuteJoined(
-    ExecContext* ctx) {
+Result<std::vector<JoinedRow>> HashJoinNode::ExecuteJoined(ExecContext* ctx) {
   NodeStatsTimer timer(&stats_.open_us);
   DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> left, SideRows(ctx, 0));
   DAISY_ASSIGN_OR_RETURN(std::vector<JoinedRow> right, SideRows(ctx, 1));
   stats_.rows_in += left.size() + right.size();
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
 
-  // Resolve which end of the predicate lives in which subtree, then pick
-  // the build side the optimizer chose.
-  const bool pred_left_in_left = ((left_mask_ >> pred_.left_table) & 1u) != 0;
-  const size_t l_tab = pred_left_in_left ? pred_.left_table : pred_.right_table;
-  const size_t l_col = pred_left_in_left ? pred_.left_col : pred_.right_col;
-  const size_t r_tab = pred_left_in_left ? pred_.right_table : pred_.left_table;
-  const size_t r_col = pred_left_in_left ? pred_.right_col : pred_.left_col;
-
   std::vector<JoinedRow>& build = build_left_ ? left : right;
   std::vector<JoinedRow>& probe = build_left_ ? right : left;
-  const size_t bt = build_left_ ? l_tab : r_tab;
-  const size_t bc = build_left_ ? l_col : r_col;
-  const size_t pt = build_left_ ? r_tab : l_tab;
-  const size_t pc = build_left_ ? r_col : l_col;
   const uint64_t build_mask = build_left_ ? left_mask_ : right_mask_;
-  const Table& btab = *(*tables_)[bt];
-  const Table& ptab = *(*tables_)[pt];
+  std::vector<JoinedRow> out;
+  auto emit = [&](const JoinedRow& prow, const JoinedRow& b) {
+    JoinedRow j = prow;
+    for (size_t t = 0; t < j.size(); ++t) {
+      if (((build_mask >> t) & 1u) != 0) j[t] = b[t];
+    }
+    out.push_back(std::move(j));
+  };
 
-  // Build: every point candidate of a build row's join cell hashes the
-  // build index; rows whose cell carries range candidates also go to a
-  // linear-probe side list. This is the naive JoinStep build verbatim,
-  // keyed by build-side tuple index instead of base row id so each joined
-  // build tuple pairs with each probe tuple at most once.
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> hash;
-  std::vector<size_t> range_rows;
-  hash.reserve(build.size());
-  for (size_t i = 0; i < build.size(); ++i) {
-    const Cell& cell = btab.cell(build[i][bt], bc);
-    bool has_range = false;
-    if (cell.is_probabilistic()) {
-      for (const Candidate& c : cell.candidates()) {
-        if (c.kind != CandidateKind::kPoint) {
-          has_range = true;
+  if (preds_.empty()) {
+    out.reserve(probe.size() * build.size());
+    for (const JoinedRow& prow : probe) {
+      for (const JoinedRow& b : build) emit(prow, b);
+    }
+  } else {
+    // Each predicate resolved into its build-side and probe-side ends.
+    struct Ends {
+      size_t bt, bc, pt, pc;
+    };
+    std::vector<Ends> ends;
+    ends.reserve(preds_.size());
+    for (const JoinPred& p : preds_) {
+      if (((build_mask >> p.left_table) & 1u) != 0) {
+        ends.push_back({p.left_table, p.left_col, p.right_table, p.right_col});
+      } else {
+        ends.push_back({p.right_table, p.right_col, p.left_table, p.left_col});
+      }
+    }
+    const Ends& key = ends[0];
+    auto others_match = [&](const JoinedRow& prow, const JoinedRow& b) {
+      for (size_t k = 1; k < ends.size(); ++k) {
+        const Ends& e = ends[k];
+        if (!KeysMayMatch((*tables_)[e.pt]->cell(prow[e.pt], e.pc),
+                          (*tables_)[e.bt]->cell(b[e.bt], e.bc))) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const Table& btab = *(*tables_)[key.bt];
+    const Table& ptab = *(*tables_)[key.pt];
+
+    // Build: every point candidate of a build row's key cell hashes the
+    // build index; rows whose cell carries range candidates also go to a
+    // linear-probe side list. Keyed by build-side tuple index instead of
+    // base row id so each joined build tuple pairs with each probe tuple
+    // at most once.
+    std::unordered_map<Value, std::vector<size_t>, ValueHash> hash;
+    std::vector<size_t> range_rows;
+    hash.reserve(build.size());
+    for (size_t i = 0; i < build.size(); ++i) {
+      const Cell& cell = btab.cell(build[i][key.bt], key.bc);
+      bool has_range = false;
+      if (cell.is_probabilistic()) {
+        for (const Candidate& c : cell.candidates()) {
+          if (c.kind != CandidateKind::kPoint) {
+            has_range = true;
+            continue;
+          }
+          hash[c.value].push_back(i);
+        }
+      } else {
+        hash[cell.original()].push_back(i);
+      }
+      if (has_range) range_rows.push_back(i);
+    }
+
+    std::vector<size_t> matched;
+    for (const JoinedRow& prow : probe) {
+      const Cell& pcell = ptab.cell(prow[key.pt], key.pc);
+      matched.clear();
+      for (const Value& v : pcell.PossibleValues()) {
+        auto it = hash.find(v);
+        if (it == hash.end()) continue;
+        matched.insert(matched.end(), it->second.begin(), it->second.end());
+      }
+      std::sort(matched.begin(), matched.end());
+      matched.erase(std::unique(matched.begin(), matched.end()),
+                    matched.end());
+      // Range rows append to the tail; membership checks must stay within
+      // the sorted hash-match prefix.
+      const size_t sorted_end = matched.size();
+      for (size_t i : range_rows) {
+        if (std::binary_search(matched.begin(), matched.begin() + sorted_end,
+                               i)) {
           continue;
         }
-        hash[c.value].push_back(i);
+        if (CellsMayMatch(pcell, CompareOp::kEq,
+                          btab.cell(build[i][key.bt], key.bc))) {
+          matched.push_back(i);
+        }
       }
-    } else {
-      hash[cell.original()].push_back(i);
-    }
-    if (has_range) range_rows.push_back(i);
-  }
-
-  std::vector<JoinedRow> out;
-  std::vector<size_t> matched;
-  for (const JoinedRow& prow : probe) {
-    const Cell& pcell = ptab.cell(prow[pt], pc);
-    matched.clear();
-    for (const Value& v : pcell.PossibleValues()) {
-      auto it = hash.find(v);
-      if (it == hash.end()) continue;
-      matched.insert(matched.end(), it->second.begin(), it->second.end());
-    }
-    std::sort(matched.begin(), matched.end());
-    matched.erase(std::unique(matched.begin(), matched.end()), matched.end());
-    // Range rows append to the tail; membership checks must stay within
-    // the sorted hash-match prefix.
-    const size_t sorted_end = matched.size();
-    for (size_t i : range_rows) {
-      if (std::binary_search(matched.begin(), matched.begin() + sorted_end,
-                             i)) {
-        continue;
+      // The remaining predicates filter the hashed matches.
+      if (ends.size() > 1) {
+        matched.erase(std::remove_if(matched.begin(), matched.end(),
+                                     [&](size_t i) {
+                                       return !others_match(prow, build[i]);
+                                     }),
+                      matched.end());
       }
-      if (CellsMayMatch(pcell, CompareOp::kEq, btab.cell(build[i][bt], bc))) {
-        matched.push_back(i);
-      }
-    }
-    // Per-probe emission sorted by build tuple: when the build child is a
-    // leaf this is its row-id order — exactly the naive JoinStep's sorted
-    // extension, which is what lets the planner skip the root sort on
-    // naive-shaped trees. (For reordered trees the root sort decides.)
-    std::sort(matched.begin(), matched.end(),
-              [&build](size_t a, size_t b) { return build[a] < build[b]; });
-    for (size_t i : matched) {
-      JoinedRow j = prow;
-      const JoinedRow& b = build[i];
-      for (size_t t = 0; t < j.size(); ++t) {
-        if (((build_mask >> t) & 1u) != 0) j[t] = b[t];
-      }
-      out.push_back(std::move(j));
+      // Per-probe emission sorted by build tuple: when the build child is a
+      // leaf this is its row-id order, which is what lets the planner skip
+      // the root sort on FROM-order trees.
+      std::sort(matched.begin(), matched.end(),
+                [&build](size_t a, size_t b) { return build[a] < build[b]; });
+      for (size_t i : matched) emit(prow, build[i]);
     }
   }
 
-  // Canonical order at the tree root: the naive left-deep join emits rows
-  // lexicographically sorted by FROM-position row-id tuple (per-step
+  // Canonical order at the tree root: a left-deep FROM-order tree emits
+  // rows lexicographically sorted by FROM-position row-id tuple (per-step
   // sorted extension of an inductively sorted prefix), so sorting here
   // makes any join order produce byte-identical output. The planner skips
-  // it when the chosen tree IS the naive left-deep chain: there the
-  // per-probe sorted emission above already reproduces those bytes.
+  // it when the tree IS the FROM-order chain.
   if (sort_output_) std::sort(out.begin(), out.end());
   stats_.rows_out = out.size();
   ++stats_.batches;
@@ -664,6 +679,229 @@ Result<std::vector<JoinedRow>> CleanJoinedNode::ExecuteJoined(
 
 // ---------------------------------------------------------------- Output --
 
+namespace {
+
+struct BoundItem {
+  bool star = false;
+  size_t table_idx = 0;
+  size_t col_idx = 0;
+  AggFunc agg = AggFunc::kNone;
+  std::string out_name;
+  ValueType out_type = ValueType::kString;
+};
+
+Result<std::vector<BoundItem>> BindSelectList(
+    const SelectStmt& stmt, const std::vector<const Table*>& tables) {
+  std::vector<BoundItem> items;
+  auto resolve = [&](const ColumnRef& ref, size_t* t_idx,
+                     size_t* c_idx) -> Status {
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (!ref.table.empty() && tables[i]->name() != ref.table) continue;
+      auto idx = tables[i]->schema().ColumnIndex(ref.column);
+      if (idx.ok()) {
+        *t_idx = i;
+        *c_idx = idx.value();
+        return Status::OK();
+      }
+      if (!ref.table.empty()) return idx.status();
+    }
+    return Status::NotFound("cannot resolve select column " + ref.ToString());
+  };
+  for (const SelectItem& item : stmt.select_list) {
+    if (item.star && item.agg == AggFunc::kNone) {
+      // Expand `*` into every column of every table.
+      for (size_t i = 0; i < tables.size(); ++i) {
+        for (size_t c = 0; c < tables[i]->schema().num_columns(); ++c) {
+          BoundItem b;
+          b.table_idx = i;
+          b.col_idx = c;
+          b.out_name = tables.size() > 1
+                           ? tables[i]->name() + "." +
+                                 tables[i]->schema().column(c).name
+                           : tables[i]->schema().column(c).name;
+          b.out_type = tables[i]->schema().column(c).type;
+          items.push_back(std::move(b));
+        }
+      }
+      continue;
+    }
+    BoundItem b;
+    b.agg = item.agg;
+    if (item.star) {
+      b.star = true;  // COUNT(*)
+      b.out_name = item.alias.empty() ? "count" : item.alias;
+      b.out_type = ValueType::kInt;
+      items.push_back(std::move(b));
+      continue;
+    }
+    DAISY_RETURN_IF_ERROR(resolve(item.col, &b.table_idx, &b.col_idx));
+    const Column& src = tables[b.table_idx]->schema().column(b.col_idx);
+    b.out_name = !item.alias.empty()
+                     ? item.alias
+                     : (item.agg == AggFunc::kNone
+                            ? (tables.size() > 1
+                                   ? tables[b.table_idx]->name() + "." +
+                                         src.name
+                                   : src.name)
+                            : std::string(AggFuncToString(item.agg)) + "_" +
+                                  src.name);
+    if (item.agg == AggFunc::kNone) {
+      b.out_type = src.type;
+    } else if (item.agg == AggFunc::kCount) {
+      b.out_type = ValueType::kInt;
+    } else if (item.agg == AggFunc::kMin || item.agg == AggFunc::kMax) {
+      b.out_type = src.type;
+    } else {
+      b.out_type = ValueType::kDouble;
+    }
+    items.push_back(std::move(b));
+  }
+  return items;
+}
+
+// Aggregation accumulator over most-probable values.
+struct AggState {
+  double sum = 0;
+  size_t count = 0;
+  Value min;
+  Value max;
+
+  void Add(const Value& v) {
+    ++count;
+    if (v.is_numeric()) sum += v.AsDouble();
+    if (min.is_null() || v < min) min = v;
+    if (max.is_null() || v > max) max = v;
+  }
+
+  Value Finish(AggFunc f, ValueType out_type) const {
+    switch (f) {
+      case AggFunc::kCount:
+        return Value(static_cast<int64_t>(count));
+      case AggFunc::kSum:
+        return out_type == ValueType::kInt
+                   ? Value(static_cast<int64_t>(sum))
+                   : Value(sum);
+      case AggFunc::kAvg:
+        return count == 0 ? Value::Null()
+                          : Value(sum / static_cast<double>(count));
+      case AggFunc::kMin:
+        return min;
+      case AggFunc::kMax:
+        return max;
+      case AggFunc::kNone:
+        return Value::Null();
+    }
+    return Value::Null();
+  }
+};
+
+// Projects or groups-and-aggregates the joined rows into the result.
+Result<QueryOutput> BuildOutput(const SelectStmt& stmt,
+                                const std::vector<const Table*>& tables,
+                                std::vector<JoinedRow> joined) {
+  DAISY_ASSIGN_OR_RETURN(std::vector<BoundItem> items,
+                         BindSelectList(stmt, tables));
+  QueryOutput out;
+  for (const Table* t : tables) out.table_names.push_back(t->name());
+
+  std::vector<Column> out_cols;
+  out_cols.reserve(items.size());
+  for (const BoundItem& b : items) out_cols.push_back({b.out_name, b.out_type});
+
+  const bool aggregating = stmt.has_aggregate() || !stmt.group_by.empty();
+  if (!aggregating) {
+    out.result = Table("result", Schema(std::move(out_cols)));
+    out.result.Reserve(joined.size());
+    for (const JoinedRow& j : joined) {
+      Row row;
+      row.cells.reserve(items.size());
+      for (const BoundItem& b : items) {
+        row.cells.push_back(
+            tables[b.table_idx]->cell(j[b.table_idx], b.col_idx));
+      }
+      out.result.AppendRowUnchecked(std::move(row));
+    }
+    out.lineage = std::move(joined);
+    return out;
+  }
+
+  // Bind group-by columns.
+  std::vector<std::pair<size_t, size_t>> group_cols;  // (table, col)
+  for (const ColumnRef& ref : stmt.group_by) {
+    bool found = false;
+    for (size_t i = 0; i < tables.size() && !found; ++i) {
+      if (!ref.table.empty() && tables[i]->name() != ref.table) continue;
+      auto idx = tables[i]->schema().ColumnIndex(ref.column);
+      if (idx.ok()) {
+        group_cols.emplace_back(i, idx.value());
+        found = true;
+      }
+    }
+    if (!found) {
+      return Status::NotFound("cannot resolve group-by column " +
+                              ref.ToString());
+    }
+  }
+
+  struct GroupAgg {
+    GroupKey key;
+    std::vector<AggState> states;
+  };
+  std::unordered_map<GroupKey, size_t, GroupKeyHash, GroupKeyEq> index;
+  std::vector<GroupAgg> groups;
+  for (const JoinedRow& j : joined) {
+    GroupKey key;
+    key.reserve(group_cols.size());
+    for (const auto& [t, c] : group_cols) {
+      key.push_back(tables[t]->cell(j[t], c).MostProbable());
+    }
+    auto [it, inserted] = index.emplace(key, groups.size());
+    if (inserted) {
+      groups.push_back({key, std::vector<AggState>(items.size())});
+    }
+    GroupAgg& g = groups[it->second];
+    for (size_t i = 0; i < items.size(); ++i) {
+      const BoundItem& b = items[i];
+      if (b.agg == AggFunc::kNone) continue;
+      if (b.star) {
+        g.states[i].Add(Value(static_cast<int64_t>(1)));
+      } else {
+        g.states[i].Add(tables[b.table_idx]->cell(j[b.table_idx], b.col_idx)
+                            .MostProbable());
+      }
+    }
+  }
+
+  out.result = Table("result", Schema(std::move(out_cols)));
+  out.result.Reserve(groups.size());
+  for (const GroupAgg& g : groups) {
+    Row row;
+    row.cells.reserve(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      const BoundItem& b = items[i];
+      if (b.agg != AggFunc::kNone) {
+        row.cells.emplace_back(g.states[i].Finish(b.agg, b.out_type));
+        continue;
+      }
+      // Non-aggregate column: must be a group-by key; take its value.
+      Value v;
+      for (size_t k = 0; k < group_cols.size(); ++k) {
+        if (group_cols[k].first == b.table_idx &&
+            group_cols[k].second == b.col_idx) {
+          v = g.key[k];
+          break;
+        }
+      }
+      row.cells.emplace_back(std::move(v));
+    }
+    out.result.AppendRowUnchecked(std::move(row));
+  }
+  out.lineage = std::move(joined);
+  return out;
+}
+
+}  // namespace
+
 OutputNode::OutputNode(Kind kind, const SelectStmt* stmt,
                        const std::vector<const Table*>* tables,
                        std::unique_ptr<PlanNode> child)
@@ -741,7 +979,7 @@ Result<QueryOutput> OutputNode::ExecuteOutput(ExecContext* ctx) {
   DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
   DAISY_ASSIGN_OR_RETURN(
       QueryOutput out,
-      QueryExecutor::BuildOutput(*stmt_, *tables_, std::move(joined)));
+      BuildOutput(*stmt_, *tables_, std::move(joined)));
   if (kind_ == Kind::kAggregate && ctx->row_limit != 0 &&
       out.result.num_rows() > ctx->row_limit) {
     // Aggregates only know their output cardinality after grouping;

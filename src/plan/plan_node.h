@@ -26,13 +26,31 @@
 #include "clean/statistics.h"
 #include "plan/compiled_filter.h"
 #include "query/ast.h"
-#include "query/executor.h"
 #include "storage/table.h"
 
 namespace daisy {
 
 /// One unit of row flow between single-table operators.
 using RowIdBatch = std::vector<RowId>;
+
+/// One joined intermediate tuple: a row id per FROM table.
+using JoinedRow = std::vector<RowId>;
+
+/// A cross-table equi-join predicate between two FROM positions.
+struct JoinPred {
+  size_t left_table = 0;
+  size_t left_col = 0;
+  size_t right_table = 0;
+  size_t right_col = 0;
+};
+
+/// A fully materialized query result.
+struct QueryOutput {
+  Table result;  ///< schema named per select list; cells keep candidates
+  std::vector<std::string> table_names;  ///< FROM order
+  std::vector<JoinedRow> lineage;        ///< SPJ rows before aggregation
+  size_t rows_scanned = 0;               ///< cost accounting
+};
 
 /// Cleaning counters accumulated across the CleanSelect nodes of one
 /// execution (DaisyEngine::Query copies them into its QueryReport).
@@ -314,51 +332,43 @@ class CleanSelectNode : public RowSetNode {
 
 /// Base of every operator producing fully joined rows (JoinedRow vectors
 /// indexed by FROM position). OutputNode consumes whichever concrete
-/// subtree the planner assembled — the syntactic n-ary JoinNode, an
-/// optimizer-built binary HashJoinStepNode tree, or a deferred cleanσ
-/// (CleanJoinedNode) stacked above either.
+/// subtree the planner assembled — a HashJoinNode tree, or a deferred
+/// cleanσ (CleanJoinedNode) stacked above one.
 class JoinSourceNode : public PlanNode {
  public:
   using PlanNode::PlanNode;
   virtual Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) = 0;
 };
 
-/// Left-deep hash equi-join over the per-table chains (kCleanJoin labels
-/// the same runtime when the sides were cleaned — Lemma 5: no further
-/// violation checks are needed over clean inputs).
-class JoinNode : public JoinSourceNode {
+/// One binary hash equi-join step; every multi-table plan is a tree of
+/// these (kCleanJoin labels the same runtime when the sides were cleaned —
+/// Lemma 5: no further violation checks are needed over clean inputs).
+/// Each side is either a single-table chain (RowSetNode, FROM index
+/// recorded) or another joined-row source.
+///
+/// Matching is possible-candidate equality: every point candidate (or the
+/// original of a certain cell) of a build row's key cell is hashed, rows
+/// whose key cell carries range candidates also go to a linear-probe side
+/// list, and a probe matches when one of its PossibleValues hits the hash
+/// or CellsMayMatch admits a side-list row. The first predicate is hashed;
+/// every further predicate is checked on each matched pair with that same
+/// equality. No predicate at all makes a cartesian step, emitted
+/// probe-major with the build side in its child's order. Because matching
+/// is orientation-dependent, the build side is always the subtree holding
+/// the later-FROM endpoint of the hashed predicate.
+///
+/// Per probe tuple the matches are emitted sorted by build tuple, so a
+/// left-deep FROM-order tree (the planner's plan when the optimizer is off
+/// or outside its exactness gate) emits rows lexicographically by
+/// FROM-position row-id tuple. A reordered tree arms set_sort_output on
+/// its root to restore exactly that order.
+class HashJoinNode : public JoinSourceNode {
  public:
-  JoinNode(Kind kind, const std::vector<const Table*>* tables,
-           const std::vector<SplitWhere::JoinPred>* joins,
-           std::vector<std::unique_ptr<PlanNode>> children);
-
-  std::string Label() const override;
-  Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
-
- private:
-  const std::vector<const Table*>* tables_;
-  const std::vector<SplitWhere::JoinPred>* joins_;
-};
-
-/// One binary hash equi-join of an optimizer-built join tree. Each side is
-/// either a single-table chain (RowSetNode, FROM index recorded) or
-/// another joined-row source; the single predicate connecting the two
-/// sides was chosen by DP enumeration; the build side is the subtree
-/// holding the predicate's later-FROM endpoint, because possible-candidate
-/// matching is orientation-dependent and the naive executor always hashes
-/// that side. Matching mirrors the naive JoinStep bit for bit
-/// (possible-candidate point hashing + range-candidate side list, per-probe
-/// dedup); the root node of the tree canonically sorts its output
-/// lexicographically by FROM-position row-id tuple, which is exactly the
-/// order the syntactic left-deep join emits — optimized plans are
-/// bit-identical to naive plans by construction.
-class HashJoinStepNode : public JoinSourceNode {
- public:
-  HashJoinStepNode(Kind kind, const std::vector<const Table*>* tables,
-                   SplitWhere::JoinPred pred, uint64_t left_mask,
-                   uint64_t right_mask, int left_from, int right_from,
-                   bool build_left, std::unique_ptr<PlanNode> left,
-                   std::unique_ptr<PlanNode> right);
+  HashJoinNode(Kind kind, const std::vector<const Table*>* tables,
+               std::vector<JoinPred> preds, uint64_t left_mask,
+               uint64_t right_mask, int left_from, int right_from,
+               bool build_left, std::unique_ptr<PlanNode> left,
+               std::unique_ptr<PlanNode> right);
 
   std::string Label() const override;
   Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
@@ -374,7 +384,7 @@ class HashJoinStepNode : public JoinSourceNode {
   Result<std::vector<JoinedRow>> SideRows(ExecContext* ctx, size_t side);
 
   const std::vector<const Table*>* tables_;
-  SplitWhere::JoinPred pred_;
+  std::vector<JoinPred> preds_;  ///< [0] hashed; the rest checked per pair
   uint64_t left_mask_;
   uint64_t right_mask_;
   int left_from_;   ///< FROM index when the left child is a chain, else -1
@@ -416,8 +426,8 @@ class CleanJoinedNode : public JoinSourceNode {
   JoinSourceNode* child_join_;
 };
 
-/// Plan root: projection or grouped aggregation into a QueryOutput. Wraps
-/// the shared output builder so the oblivious and cleaning-augmented plans
+/// Plan root: projection or grouped aggregation into a QueryOutput. The
+/// oblivious and cleaning-augmented plans both end here, so they
 /// materialize results identically.
 class OutputNode : public PlanNode {
  public:

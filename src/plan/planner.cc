@@ -1,7 +1,6 @@
 #include "plan/planner.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "detect/theta_join.h"
@@ -11,12 +10,112 @@
 
 namespace daisy {
 
+namespace {
+
+std::unique_ptr<Expr> CloneExpr(const Expr& expr) {
+  auto out = std::make_unique<Expr>();
+  out->kind = expr.kind;
+  out->left = expr.left;
+  out->op = expr.op;
+  out->right_is_column = expr.right_is_column;
+  out->right_col = expr.right_col;
+  out->right_val = expr.right_val;
+  out->children.reserve(expr.children.size());
+  for (const auto& child : expr.children) {
+    out->children.push_back(CloneExpr(*child));
+  }
+  return out;
+}
+
+}  // namespace
+
 SelectStmt CloneStmt(const SelectStmt& stmt) {
   SelectStmt out;
   out.select_list = stmt.select_list;
   out.tables = stmt.tables;
   out.group_by = stmt.group_by;
   if (stmt.where != nullptr) out.where = CloneExpr(*stmt.where);
+  return out;
+}
+
+Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
+                                    const std::vector<const Table*>& tables) {
+  SplitWhere out;
+  out.table_filters.resize(tables.size());
+
+  auto find_table = [&](const ColumnRef& ref) -> Result<size_t> {
+    if (!ref.table.empty()) {
+      for (size_t i = 0; i < tables.size(); ++i) {
+        if (tables[i]->name() == ref.table) return i;
+      }
+      return Status::NotFound("table '" + ref.table + "' not in FROM clause");
+    }
+    // Unqualified: unique schema match required.
+    size_t found = tables.size();
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (tables[i]->schema().HasColumn(ref.column)) {
+        if (found != tables.size()) {
+          return Status::InvalidArgument("ambiguous column '" + ref.column +
+                                         "'");
+        }
+        found = i;
+      }
+    }
+    if (found == tables.size()) {
+      return Status::NotFound("column '" + ref.column +
+                              "' not found in any FROM table");
+    }
+    return found;
+  };
+
+  for (const Expr* conjunct : SplitConjuncts(stmt.where.get())) {
+    ColumnRef jl, jr;
+    if (MatchJoinPredicate(*conjunct, &jl, &jr)) {
+      JoinPred pred;
+      DAISY_ASSIGN_OR_RETURN(pred.left_table, find_table(jl));
+      DAISY_ASSIGN_OR_RETURN(pred.right_table, find_table(jr));
+      DAISY_ASSIGN_OR_RETURN(
+          pred.left_col,
+          tables[pred.left_table]->schema().ColumnIndex(jl.column));
+      DAISY_ASSIGN_OR_RETURN(
+          pred.right_col,
+          tables[pred.right_table]->schema().ColumnIndex(jr.column));
+      out.joins.push_back(pred);
+      continue;
+    }
+    // Single-table predicate (possibly an OR subtree): find its table.
+    // More than one candidate owner means the reference is ambiguous.
+    size_t owner = tables.size();
+    size_t owners_found = 0;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (ExprRefersOnlyTo(*conjunct, tables[i]->name(),
+                           tables[i]->schema())) {
+        owner = i;
+        ++owners_found;
+      }
+    }
+    if (owners_found > 1) {
+      return Status::InvalidArgument("ambiguous predicate (qualify columns): " +
+                                     conjunct->ToString());
+    }
+    if (owner == tables.size()) {
+      return Status::NotImplemented(
+          "predicate spans multiple tables and is not an equi-join: " +
+          conjunct->ToString());
+    }
+    std::unique_ptr<Expr>& slot = out.table_filters[owner];
+    if (slot == nullptr) {
+      slot = CloneExpr(*conjunct);
+    } else if (slot->kind == Expr::Kind::kAnd) {
+      slot->children.push_back(CloneExpr(*conjunct));
+    } else {
+      auto conj = std::make_unique<Expr>();
+      conj->kind = Expr::Kind::kAnd;
+      conj->children.push_back(std::move(slot));
+      conj->children.push_back(CloneExpr(*conjunct));
+      slot = std::move(conj);
+    }
+  }
   return out;
 }
 
@@ -41,7 +140,7 @@ std::vector<size_t> QueryColumnsForTable(const SelectStmt& stmt,
     if (idx.ok()) cols.push_back(idx.value());
   }
   if (stmt.where != nullptr) CollectExprColumns(*stmt.where, table, &cols);
-  for (const SplitWhere::JoinPred& p : split.joins) {
+  for (const JoinPred& p : split.joins) {
     if (p.left_table == table_idx) cols.push_back(p.left_col);
     if (p.right_table == table_idx) cols.push_back(p.right_col);
   }
@@ -161,12 +260,41 @@ bool SortedIntersects(const std::vector<size_t>& a,
   return false;
 }
 
-// True when the DP's winning tree is exactly the naive left-deep
-// FROM-order chain: at every level the right child is the leaf for the
-// highest table of the node's (contiguous) mask, built over (the
-// orientation rule puts the build on the later-FROM endpoint, i.e. that
-// leaf). There the per-probe sorted emission of HashJoinStepNode already
-// reproduces the naive bytes, so the root's canonical sort is skipped.
+// The syntactic plan: a left-deep FROM-order tree. Each step builds over
+// the new (later-FROM) table and carries every predicate connecting it to
+// the bound prefix, in WHERE order; a step without one is a cartesian
+// product.
+std::unique_ptr<JoinTree> FromOrderJoinTree(
+    size_t n, const std::vector<JoinPred>& joins) {
+  auto leaf = [](size_t i) {
+    auto t = std::make_unique<JoinTree>();
+    t->mask = uint64_t{1} << i;
+    t->from = static_cast<int>(i);
+    return t;
+  };
+  std::unique_ptr<JoinTree> tree = leaf(0);
+  for (size_t t = 1; t < n; ++t) {
+    auto step = std::make_unique<JoinTree>();
+    step->mask = tree->mask | (uint64_t{1} << t);
+    for (size_t j = 0; j < joins.size(); ++j) {
+      const JoinPred& p = joins[j];
+      if ((p.left_table == t && ((tree->mask >> p.right_table) & 1u) != 0) ||
+          (p.right_table == t && ((tree->mask >> p.left_table) & 1u) != 0)) {
+        step->preds.push_back(j);
+      }
+    }
+    step->left = std::move(tree);
+    step->right = leaf(t);
+    tree = std::move(step);
+  }
+  return tree;
+}
+
+// True when the tree is the left-deep FROM-order chain: at every level
+// the right child is the leaf for the highest table of the node's
+// (contiguous) mask, built over. There the per-probe sorted emission of
+// HashJoinNode already yields FROM-position row-id tuple order, so the
+// root's canonical sort is skipped.
 bool IsNaiveChain(const JoinTree& t) {
   const JoinTree* cur = &t;
   while (cur->from < 0) {
@@ -182,20 +310,23 @@ bool IsNaiveChain(const JoinTree& t) {
   return cur->mask == 1;
 }
 
-// Materializes the DP's winning JoinTree as HashJoinStepNode operators,
-// consuming per-table chains at the leaves.
+// Materializes a JoinTree as HashJoinNode operators, consuming per-table
+// chains at the leaves.
 std::unique_ptr<PlanNode> BuildJoinTreeNode(
     const JoinTree& t, PlanNode::Kind kind,
     const std::vector<const Table*>* tables,
-    const std::vector<SplitWhere::JoinPred>* joins,
+    const std::vector<JoinPred>& joins,
     std::vector<std::unique_ptr<PlanNode>>* chains) {
   if (t.from >= 0) return std::move((*chains)[t.from]);
   std::unique_ptr<PlanNode> left =
       BuildJoinTreeNode(*t.left, kind, tables, joins, chains);
   std::unique_ptr<PlanNode> right =
       BuildJoinTreeNode(*t.right, kind, tables, joins, chains);
-  auto node = std::make_unique<HashJoinStepNode>(
-      kind, tables, (*joins)[t.pred_idx], t.left->mask, t.right->mask,
+  std::vector<JoinPred> preds;
+  preds.reserve(t.preds.size());
+  for (size_t j : t.preds) preds.push_back(joins[j]);
+  auto node = std::make_unique<HashJoinNode>(
+      kind, tables, std::move(preds), t.left->mask, t.right->mask,
       t.left->from, t.right->from, t.build_left, std::move(left),
       std::move(right));
   node->set_estimates(t.est_rows, t.est_cost);
@@ -203,14 +334,6 @@ std::unique_ptr<PlanNode> BuildJoinTreeNode(
 }
 
 }  // namespace
-
-Planner::Planner(Database* db) : db_(db) {
-  const char* env = std::getenv("DAISY_OPTIMIZER");
-  if (env != nullptr) {
-    const std::string v(env);
-    optimizer_ = !(v == "0" || v == "false");
-  }
-}
 
 Result<Plan> Planner::PlanQuery(const SelectStmt& stmt) {
   return PlanQuery(stmt, nullptr);
@@ -227,6 +350,11 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
   }
   if (state->tables.empty()) {
     return Status::InvalidArgument("no FROM tables");
+  }
+  if (state->tables.size() > kMaxFromTables) {
+    return Status::InvalidArgument(
+        "too many FROM entries: " + std::to_string(state->tables.size()) +
+        " (at most " + std::to_string(kMaxFromTables) + ")");
   }
   DAISY_ASSIGN_OR_RETURN(state->split,
                          SplitWhereClause(state->stmt, state->const_tables));
@@ -269,9 +397,9 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
 
   // Cost-based optimization (plan/optimizer.h): join order by dpsize DP
   // and cleanσ placement by the cost model, both only inside the
-  // exactness gate. Duplicate FROM entries (self-joins) keep the naive
-  // path — the cleaning bindings and subtree masks assume one chain per
-  // physical table.
+  // exactness gate. Duplicate FROM entries (self-joins) keep the
+  // FROM-order tree — the cleaning bindings and subtree masks assume one
+  // chain per physical table. `jt` stays null when the DP does not run.
   std::unique_ptr<JoinTree> jt;
   std::vector<double> scan_rows(n, 0.0);
   std::vector<double> leaf_rows(n, 0.0);
@@ -308,7 +436,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
           if (filter != nullptr) {
             CollectExprColumns(*filter, *state->tables[i], &locked);
           }
-          for (const SplitWhere::JoinPred& p : state->split.joins) {
+          for (const JoinPred& p : state->split.joins) {
             if (p.left_table == i) locked.push_back(p.left_col);
             if (p.right_table == i) locked.push_back(p.right_col);
           }
@@ -349,18 +477,20 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
     }
   }
 
-  // Per-table chain: Scan → Filter → cleanσ per in-chain rule.
+  // Per-table chain: Scan → Filter → cleanσ per in-chain rule. Only the
+  // DP annotates estimates.
+  const bool estimated = jt != nullptr;
   std::vector<std::unique_ptr<PlanNode>> chains;
   chains.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Table* table = state->tables[i];
     const Expr* filter = state->split.table_filters[i].get();
     std::unique_ptr<PlanNode> node = std::make_unique<ScanNode>(table);
-    if (jt != nullptr) node->set_estimates(scan_rows[i], scan_rows[i]);
+    if (estimated) node->set_estimates(scan_rows[i], scan_rows[i]);
     if (filter != nullptr) {
       node = std::make_unique<FilterNode>(table, filter, columnar_filters_,
                                           std::move(node));
-      if (jt != nullptr) node->set_estimates(leaf_rows[i], scan_rows[i]);
+      if (estimated) node->set_estimates(leaf_rows[i], scan_rows[i]);
     }
     for (const RuleSlot& slot : table_rules[i]) {
       if (slot.deferred) continue;
@@ -369,7 +499,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
           slot.rstats, filter, clean->options, clean->adaptive,
           std::move(node));
       if (slot.statically_pruned) clean_node->set_statically_pruned(true);
-      if (jt != nullptr) {
+      if (estimated) {
         clean_node->set_estimates(leaf_rows[i],
                                   slot.unit_cost * leaf_rows[i]);
       }
@@ -381,20 +511,21 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
   std::unique_ptr<PlanNode> child;
   if (chains.size() == 1) {
     child = std::move(chains[0]);
-  } else if (jt != nullptr) {
+  } else {
+    if (jt == nullptr) jt = FromOrderJoinTree(n, state->split.joins);
     const PlanNode::Kind join_kind = clean != nullptr
                                          ? PlanNode::Kind::kCleanJoin
                                          : PlanNode::Kind::kHashJoin;
     child = BuildJoinTreeNode(*jt, join_kind, &state->const_tables,
-                              &state->split.joins, &chains);
-    // The root of the optimized tree canonically sorts its output so any
-    // join order reproduces the naive left-deep bytes — unless the chosen
-    // tree IS the naive chain, whose emission is already in that order.
-    static_cast<HashJoinStepNode*>(child.get())
+                              state->split.joins, &chains);
+    // A reordered tree canonically sorts its root output so any join order
+    // reproduces the FROM-order bytes; the FROM-order chain itself already
+    // emits in that order.
+    static_cast<HashJoinNode*>(child.get())
         ->set_sort_output(!IsNaiveChain(*jt));
     // Deferred cleanσ above the join, per-table rule order preserved (the
     // placement gate makes deferred rules commute with everything, so the
-    // stacking order is cosmetic).
+    // stacking order is cosmetic). Only the optimizer defers.
     for (size_t i = 0; i < n; ++i) {
       for (const RuleSlot& slot : table_rules[i]) {
         if (!slot.deferred) continue;
@@ -408,11 +539,6 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
         child = std::move(deferred_node);
       }
     }
-  } else {
-    child = std::make_unique<JoinNode>(
-        clean != nullptr ? PlanNode::Kind::kCleanJoin
-                         : PlanNode::Kind::kHashJoin,
-        &state->const_tables, &state->split.joins, std::move(chains));
   }
   const bool aggregating =
       state->stmt.has_aggregate() || !state->stmt.group_by.empty();

@@ -1,11 +1,13 @@
 // Lowers a parsed SelectStmt into a physical PlanNode tree.
 //
-// The Planner is the single place where the SPJ pipeline is assembled:
-// QueryExecutor::Execute lowers a cleaning-oblivious plan, DaisyEngine::
-// Query passes a CleaningPlanContext and gets the cleaning-augmented plan
-// of Section 6 — cleanσ nodes injected above each table's filter for every
+// The Planner is the single place where the SPJ pipeline is assembled.
+// Without a CleaningPlanContext it lowers a cleaning-oblivious plan;
+// DaisyEngine::Query passes one and gets the cleaning-augmented plan of
+// Section 6 — cleanσ nodes injected above each table's filter for every
 // rule whose attributes overlap the query's, clean⋈ over the cleaned
-// sides. Plan-construction decisions:
+// sides. Every multi-table plan is a tree of HashJoinNode steps: the
+// optimizer's dpsize winner when it runs (plan/optimizer.h), else the
+// left-deep FROM-order tree. Plan-construction decisions:
 //
 //  * rule overlap ((X∪Y) ∩ (P∪W) ≠ ∅) decides which rules get a
 //    CleanSelect node at all;
@@ -28,15 +30,32 @@
 #include "constraints/constraint_set.h"
 #include "plan/plan_node.h"
 #include "query/ast.h"
-#include "query/executor.h"
 #include "storage/database.h"
 
 namespace daisy {
 
 class ThetaJoinDetector;
 
+/// Upper bound on FROM entries in one statement: join subtrees record
+/// their FROM positions in uint64_t masks.
+constexpr size_t kMaxFromTables = 64;
+
 /// Deep copy of a parsed statement (the WHERE tree is owning).
 SelectStmt CloneStmt(const SelectStmt& stmt);
+
+/// The WHERE clause split by target: one (possibly null) conjunction of
+/// single-table predicates per FROM table, plus cross-table equi-join
+/// predicates in WHERE order.
+struct SplitWhere {
+  std::vector<std::unique_ptr<Expr>> table_filters;  ///< index = FROM position
+  std::vector<JoinPred> joins;
+};
+
+/// Classifies every top-level conjunct. Fails on predicates that span
+/// multiple tables without being an equi-join (outside the paper's query
+/// template).
+Result<SplitWhere> SplitWhereClause(const SelectStmt& stmt,
+                                    const std::vector<const Table*>& tables);
 
 /// Per-rule operator state the engine hands to the planner. All pointers
 /// must outlive the produced plan.
@@ -150,12 +169,12 @@ class Plan {
 /// Stateless plan builder over a database catalog.
 class Planner {
  public:
-  /// The constructor defaults the optimizer from DAISY_OPTIMIZER so bare
-  /// consumers (QueryExecutor) honor the ablation env directly; the Daisy
-  /// engine overrides it from DaisyOptions::optimizer right after.
-  explicit Planner(Database* db);
+  /// The optimizer defaults to on; the Daisy engine sets it from
+  /// DaisyOptions::optimizer.
+  explicit Planner(Database* db) : db_(db) {}
 
-  /// Cleaning-oblivious plan (plain SPJ + group-by).
+  /// Cleaning-oblivious plan (plain SPJ + group-by). Fails with
+  /// InvalidArgument beyond kMaxFromTables FROM entries.
   Result<Plan> PlanQuery(const SelectStmt& stmt);
 
   /// Cleaning-augmented plan; `clean` may be null (same as the overload
@@ -168,7 +187,7 @@ class Planner {
   void set_columnar_filters(bool enabled) { columnar_filters_ = enabled; }
 
   /// Cost-based optimization (join reordering + cleanσ placement, see
-  /// plan/optimizer.h). Off falls back to the syntactic left-deep plan.
+  /// plan/optimizer.h). Off keeps the left-deep FROM-order join tree.
   void set_optimizer(bool enabled) { optimizer_ = enabled; }
   bool optimizer() const { return optimizer_; }
 

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "datagen/workload.h"
 #include "offline/offline_cleaner.h"
+#include "plan/planner.h"
 #include "query/parser.h"
 
 namespace daisy {
@@ -324,13 +325,16 @@ TEST_P(DaisyOfflineEquivalenceTest, FdWorkloadMatchesOffline) {
                   .ok());
   OfflineCleaner offline(&offline_db, &rules);
   ASSERT_TRUE(offline.CleanAll().ok());
-  QueryExecutor offline_exec(&offline_db);
+  Planner offline_planner(&offline_db);
+  offline_planner.set_optimizer(engine.options().optimizer);
 
   for (const std::string& sql : queries) {
     auto daisy_report = engine.Query(sql);
     ASSERT_TRUE(daisy_report.ok()) << sql << ": "
                                    << daisy_report.status().ToString();
-    auto offline_out = offline_exec.Execute(sql);
+    auto offline_plan = offline_planner.PlanQuery(ParseQuery(sql).ValueOrDie());
+    ASSERT_TRUE(offline_plan.ok()) << sql;
+    auto offline_out = offline_plan.value().Execute();
     ASSERT_TRUE(offline_out.ok()) << sql;
     // Same corrected result (same row multiset — compare sorted lineage).
     auto a = daisy_report.value().output.lineage;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "clean/daisy_engine.h"
@@ -17,14 +16,19 @@
 namespace daisy {
 namespace {
 
-// Bare-planner consumers (QueryExecutor) default the optimizer from the
-// ablation env (see Planner's constructor); these goldens pin both shapes
-// so the CI ablation leg (DAISY_OPTIMIZER=0) stays green.
-bool OptimizerEnvOn() {
-  const char* v = std::getenv("DAISY_OPTIMIZER");
-  if (v == nullptr) return true;
-  const std::string s(v);
-  return !(s == "0" || s == "false");
+// Cleaning-oblivious plans from a bare Planner; the optimizer setting is
+// explicit, so both golden shapes run in every environment.
+Result<Plan> PlanSql(Database* db, const std::string& sql,
+                     bool optimizer = true) {
+  DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
+  Planner planner(db);
+  planner.set_optimizer(optimizer);
+  return planner.PlanQuery(stmt);
+}
+
+std::string ExplainSql(Database* db, const std::string& sql,
+                       bool optimizer = true) {
+  return PlanSql(db, sql, optimizer).ValueOrDie().Explain();
 }
 
 Database MakeEmpDeptDb() {
@@ -46,9 +50,8 @@ Database MakeEmpDeptDb() {
 
 TEST(ExplainTest, SelectProjectGolden) {
   Database db = MakeEmpDeptDb();
-  QueryExecutor exec(&db);
-  auto text =
-      exec.Explain("SELECT name FROM emp WHERE salary >= 200").ValueOrDie();
+  const std::string text =
+      ExplainSql(&db, "SELECT name FROM emp WHERE salary >= 200");
   EXPECT_EQ(text,
             "Project [name]\n"
             "  Filter [emp: salary >= 200] [columnar]\n"
@@ -57,36 +60,32 @@ TEST(ExplainTest, SelectProjectGolden) {
 
 TEST(ExplainTest, SelectProjectJoinGolden) {
   Database db = MakeEmpDeptDb();
-  QueryExecutor exec(&db);
-  auto text = exec.Explain(
-                      "SELECT emp.name, dept.dept_name FROM emp, dept WHERE "
-                      "emp.dept_id = dept.id AND dept.dept_name = 'eng'")
-                  .ValueOrDie();
-  if (OptimizerEnvOn()) {
-    // dpsize keeps the FROM order here (two tables, one split) but prices
-    // the hash build side — the filtered dept chain — and annotates every
-    // node with its estimates.
-    EXPECT_EQ(text,
-              "Project [emp.name, dept.dept_name]\n"
-              "  HashJoin [emp.dept_id = dept.id] [build=right]"
-              " est_rows=2 est_cost=10\n"
-              "    Scan [emp] est_rows=3 est_cost=3\n"
-              "    Filter [dept: dept.dept_name == 'eng'] [columnar]"
-              " est_rows=1 est_cost=2\n"
-              "      Scan [dept] est_rows=2 est_cost=2\n");
-  } else {
-    EXPECT_EQ(text,
-              "Project [emp.name, dept.dept_name]\n"
-              "  HashJoin [emp.dept_id = dept.id]\n"
-              "    Scan [emp]\n"
-              "    Filter [dept: dept.dept_name == 'eng'] [columnar]\n"
-              "      Scan [dept]\n");
-  }
+  const std::string sql =
+      "SELECT emp.name, dept.dept_name FROM emp, dept WHERE "
+      "emp.dept_id = dept.id AND dept.dept_name = 'eng'";
+  // dpsize keeps the FROM order here (two tables, one split) but prices
+  // the hash build side — the filtered dept chain — and annotates every
+  // node with its estimates.
+  EXPECT_EQ(ExplainSql(&db, sql, /*optimizer=*/true),
+            "Project [emp.name, dept.dept_name]\n"
+            "  HashJoin [emp.dept_id = dept.id] [build=right]"
+            " est_rows=2 est_cost=10\n"
+            "    Scan [emp] est_rows=3 est_cost=3\n"
+            "    Filter [dept: dept.dept_name == 'eng'] [columnar]"
+            " est_rows=1 est_cost=2\n"
+            "      Scan [dept] est_rows=2 est_cost=2\n");
+  // Without the optimizer: the same operator, FROM order, no estimates.
+  EXPECT_EQ(ExplainSql(&db, sql, /*optimizer=*/false),
+            "Project [emp.name, dept.dept_name]\n"
+            "  HashJoin [emp.dept_id = dept.id] [build=right]\n"
+            "    Scan [emp]\n"
+            "    Filter [dept: dept.dept_name == 'eng'] [columnar]\n"
+            "      Scan [dept]\n");
 }
 
 TEST(ExplainTest, OptimizerReordersJoinAndPushesFilterDownGolden) {
   // ta is big, tb joins tc, and tc's filter is highly selective: the DP
-  // picks ta ⋈ (tb ⋈ tc) over the naive left-deep (ta ⋈ tb) ⋈ tc, and the
+  // picks ta ⋈ (tb ⋈ tc) over the FROM-order left-deep (ta ⋈ tb) ⋈ tc, and the
   // tc filter stays pushed below the lowest join of the reordered tree.
   Database db;
   Table ta("ta", Schema({{"x", ValueType::kInt}}));
@@ -107,47 +106,40 @@ TEST(ExplainTest, OptimizerReordersJoinAndPushesFilterDownGolden) {
   }
   ASSERT_TRUE(db.AddTable(std::move(tc)).ok());
 
-  QueryExecutor exec(&db);
-  auto text = exec.Explain(
-                      "SELECT ta.x, tc.y FROM ta, tb, tc WHERE "
-                      "ta.x = tb.x AND tb.y = tc.y AND tc.tag = 'hit'")
-                  .ValueOrDie();
-  if (OptimizerEnvOn()) {
-    EXPECT_EQ(text,
-              "Project [ta.x, tc.y]\n"
-              "  HashJoin [ta.x = tb.x] [build=right] est_rows=2"
-              " est_cost=306\n"
-              "    Scan [ta] est_rows=100 est_cost=100\n"
-              "    HashJoin [tb.y = tc.y] [build=right] est_rows=1"
-              " est_cost=103\n"
-              "      Scan [tb] est_rows=50 est_cost=50\n"
-              "      Filter [tc: tc.tag == 'hit'] [columnar] est_rows=1"
-              " est_cost=50\n"
-              "        Scan [tc] est_rows=50 est_cost=50\n");
-  } else {
-    EXPECT_EQ(text,
-              "Project [ta.x, tc.y]\n"
-              "  HashJoin [ta.x = tb.x, tb.y = tc.y]\n"
-              "    Scan [ta]\n"
-              "    Scan [tb]\n"
-              "    Filter [tc: tc.tag == 'hit'] [columnar]\n"
-              "      Scan [tc]\n");
-  }
+  const std::string sql =
+      "SELECT ta.x, tc.y FROM ta, tb, tc WHERE "
+      "ta.x = tb.x AND tb.y = tc.y AND tc.tag = 'hit'";
+  EXPECT_EQ(ExplainSql(&db, sql, /*optimizer=*/true),
+            "Project [ta.x, tc.y]\n"
+            "  HashJoin [ta.x = tb.x] [build=right] est_rows=2"
+            " est_cost=306\n"
+            "    Scan [ta] est_rows=100 est_cost=100\n"
+            "    HashJoin [tb.y = tc.y] [build=right] est_rows=1"
+            " est_cost=103\n"
+            "      Scan [tb] est_rows=50 est_cost=50\n"
+            "      Filter [tc: tc.tag == 'hit'] [columnar] est_rows=1"
+            " est_cost=50\n"
+            "        Scan [tc] est_rows=50 est_cost=50\n");
+  EXPECT_EQ(ExplainSql(&db, sql, /*optimizer=*/false),
+            "Project [ta.x, tc.y]\n"
+            "  HashJoin [tb.y = tc.y] [build=right]\n"
+            "    HashJoin [ta.x = tb.x] [build=right]\n"
+            "      Scan [ta]\n"
+            "      Scan [tb]\n"
+            "    Filter [tc: tc.tag == 'hit'] [columnar]\n"
+            "      Scan [tc]\n");
   // Same bytes either way: the optimized tree canonically sorts its root.
-  auto on = exec.Execute(
-                    "SELECT ta.x, tc.y FROM ta, tb, tc WHERE "
-                    "ta.x = tb.x AND tb.y = tc.y AND tc.tag = 'hit'")
-                .ValueOrDie();
-  EXPECT_EQ(on.result.num_rows(), 2u);
+  auto on = PlanSql(&db, sql, /*optimizer=*/true).ValueOrDie().Execute();
+  auto off = PlanSql(&db, sql, /*optimizer=*/false).ValueOrDie().Execute();
+  ASSERT_TRUE(on.ok() && off.ok());
+  EXPECT_EQ(on.value().result.num_rows(), 2u);
+  EXPECT_EQ(on.value().lineage, off.value().lineage);
 }
 
 TEST(ExplainTest, AggregateGolden) {
   Database db = MakeEmpDeptDb();
-  QueryExecutor exec(&db);
-  auto text = exec.Explain(
-                      "SELECT dept_id, COUNT(*) AS n FROM emp "
-                      "GROUP BY dept_id")
-                  .ValueOrDie();
+  const std::string text = ExplainSql(
+      &db, "SELECT dept_id, COUNT(*) AS n FROM emp GROUP BY dept_id");
   EXPECT_EQ(text,
             "Aggregate [select=[dept_id, COUNT(*) AS n] group_by=[dept_id]]\n"
             "  Scan [emp]\n");
@@ -292,7 +284,7 @@ TEST(ExplainTest, CleanJoinGolden) {
   } else {
     EXPECT_EQ(text,
               "Project [emp.name, dept.dept_name]\n"
-              "  CleanJoin [emp.dept_id = dept.id]\n"
+              "  CleanJoin [emp.dept_id = dept.id] [build=right]\n"
               "    CleanSelect [rule=rho fd] [adaptive]\n"
               "      Scan [emp]\n"
               "    Scan [dept]\n");

@@ -12,9 +12,9 @@
 // intentionally cleans fewer rows — the join survivors instead of the full
 // qualifying set) and must reconverge exactly after CleanAllRemaining.
 //
-// Under the CI ablation leg (DAISY_OPTIMIZER=0) both engines run the naive
-// plan and the differential degenerates to a self-check; the unit tests of
-// the pure optimizer functions are env-independent.
+// Under the CI ablation leg (DAISY_OPTIMIZER=0) both engines run the
+// FROM-order join tree and the differential degenerates to a self-check;
+// the unit tests of the pure optimizer functions are env-independent.
 
 #include <gtest/gtest.h>
 
@@ -30,14 +30,13 @@
 #include "common/rng.h"
 #include "plan/cardinality.h"
 #include "plan/optimizer.h"
-#include "query/executor.h"
 #include "storage/database.h"
 
 namespace daisy {
 namespace {
 
-SplitWhere::JoinPred Pred(size_t lt, size_t lc, size_t rt, size_t rc) {
-  SplitWhere::JoinPred p;
+JoinPred Pred(size_t lt, size_t lc, size_t rt, size_t rc) {
+  JoinPred p;
   p.left_table = lt;
   p.left_col = lc;
   p.right_table = rt;
@@ -64,14 +63,14 @@ TEST(JoinReorderExactTest, WrongEdgeCountFails) {
 }
 
 TEST(JoinReorderExactTest, CartesianStepFails) {
-  // FROM order 0,1,2 but no predicate reaches table 1 from {0}: the naive
-  // executor would take a cartesian step there.
+  // FROM order 0,1,2 but no predicate reaches table 1 from {0}: the
+  // FROM-order tree takes a cartesian step there.
   EXPECT_FALSE(JoinReorderExact(3, {Pred(1, 0, 2, 0), Pred(0, 0, 2, 1)}));
 }
 
 TEST(JoinReorderExactTest, DoublyBoundStepFails) {
-  // Two predicates bind table 1 to the prefix; the naive executor applies
-  // only the first and silently drops the second.
+  // Two predicates bind table 1 to the prefix (a composite key): no DP
+  // split joins on exactly one predicate.
   EXPECT_FALSE(JoinReorderExact(3, {Pred(0, 0, 1, 0), Pred(0, 1, 1, 1)}));
 }
 
@@ -81,7 +80,7 @@ TEST(JoinReorderExactTest, SelfPredicateFails) {
 
 TEST(JoinReorderExactTest, BeyondTableCapFails) {
   const size_t n = kMaxOptimizerTables + 1;
-  std::vector<SplitWhere::JoinPred> chain;
+  std::vector<JoinPred> chain;
   for (size_t i = 0; i + 1 < n; ++i) chain.push_back(Pred(i, 0, i + 1, 0));
   EXPECT_FALSE(JoinReorderExact(n, chain));
   chain.pop_back();
@@ -110,7 +109,7 @@ TEST(EnumerateJoinOrderTest, PicksBushyTreeThatJoinsSmallSidesFirst) {
   }
   Table c = OneColTable("c", "y", 4, 4);
   CardinalityEstimator est({&a, &b, &c});
-  const std::vector<SplitWhere::JoinPred> joins = {Pred(0, 0, 1, 0),
+  const std::vector<JoinPred> joins = {Pred(0, 0, 1, 0),
                                                    Pred(1, 1, 2, 0)};
   std::unique_ptr<JoinTree> jt =
       EnumerateJoinOrder(est, joins, {100.0, 50.0, 4.0});
@@ -128,7 +127,7 @@ TEST(EnumerateJoinOrderTest, PicksBushyTreeThatJoinsSmallSidesFirst) {
   EXPECT_NEAR(jt->right->est_rows, 4.0, 1e-9);
   // Build side = smaller estimated input: the 4-row B⋈C result.
   EXPECT_FALSE(jt->build_left);
-  EXPECT_EQ(jt->pred_idx, 0u);  // A connects through x = B.x
+  EXPECT_EQ(jt->preds, std::vector<size_t>{0});  // A connects through x = B.x
 }
 
 TEST(EnumerateJoinOrderTest, ReturnsNullOutsideExactRegime) {
@@ -252,7 +251,7 @@ TEST(CardinalityEstimatorTest, SelectivityFromProjectionsAndDictionaries) {
   EXPECT_DOUBLE_EQ(est.FilterSelectivity(0, nullptr), 1.0);
 
   // Equi-join: 1 / max ndv of the two key columns.
-  const SplitWhere::JoinPred p = Pred(0, 0, 1, 0);
+  const JoinPred p = Pred(0, 0, 1, 0);
   EXPECT_NEAR(est.JoinSelectivity(p), 1.0 / 100.0, 1e-12);
   EXPECT_NEAR(est.JoinOutputRows(100.0, 5.0, p), 5.0, 1e-9);
 }
@@ -374,7 +373,7 @@ std::string RandomSpjQuery(Rng* rng, const JoinScenario& s) {
     conjuncts.push_back(TableName(i) + ".b = " + TableName(i + 1) + ".a");
   }
   // With a small probability, drop the (single) join predicate of a
-  // two-table query: the naive plan takes a cartesian step, the gate
+  // two-table query: the FROM-order plan takes a cartesian step, the gate
   // refuses to reorder, and both engines must agree on the fallback.
   if (conjuncts.size() == 1 && rng->Bernoulli(0.08)) conjuncts.clear();
   for (size_t i = lo; i <= hi; ++i) {
@@ -607,7 +606,7 @@ TEST(OptimizerDifferential, PlanEquivalenceAcross100Seeds) {
 TEST(OptimizerDifferential, DeferredCleaningConvergesDeterministically) {
   // The explain_test deferral scenario, run as a differential: tau's
   // cleanσ moves above the selective join, the query output matches the
-  // naive plan bit for bit, and CleanAllRemaining converges the tables.
+  // FROM-order plan bit for bit, and CleanAllRemaining converges the tables.
   auto make_engine = [&](bool optimizer) {
     auto db = std::make_unique<Database>();
     Table emp("emp", Schema({{"name", ValueType::kString},

@@ -1,10 +1,12 @@
 // Tests for the physical plan layer: compiled-filter equivalence with the
 // row-path evaluator (property-style over ops, nulls and candidate cells),
-// batch-size invariance, and planner lowering through QueryExecutor.
+// batch-size invariance, scan accounting, and the join differential
+// against the reference join in join_oracle.h.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "join_oracle.h"
 #include "plan/compiled_filter.h"
 #include "plan/planner.h"
 #include "query/eval.h"
@@ -192,16 +194,129 @@ TEST(PlanTest, BatchSizeDoesNotChangeResults) {
   }
 }
 
-TEST(PlanTest, ExecutorLowersThroughPlanner) {
-  // The thin frontend produces the same output shape and scan accounting
-  // the pre-plan executor did.
+TEST(PlanTest, OutputLineageAndScanAccounting) {
   Database db = MakePlanDb(37);
-  QueryExecutor exec(&db);
-  auto out = exec.Execute("SELECT a FROM m WHERE a = 5").ValueOrDie();
+  auto stmt = ParseQuery("SELECT a FROM m WHERE a = 5").ValueOrDie();
+  Planner planner(&db);
+  auto out = planner.PlanQuery(stmt).ValueOrDie().Execute().ValueOrDie();
   EXPECT_EQ(out.rows_scanned, 300u);
   for (const JoinedRow& j : out.lineage) {
     ASSERT_EQ(j.size(), 1u);
   }
+}
+
+// ------------------------------------------------------ Join differential --
+
+// Join-key cells drawn from a small domain so keys collide, with point
+// candidates, open range candidates, and a mix of both on random cells.
+Table MakeJoinTable(Rng* rng, const std::string& name) {
+  Table t(name, Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
+  const int64_t rows = rng->UniformInt(2, 7);
+  for (int64_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(t.AppendRow({Value(rng->UniformInt(0, 4)),
+                             Value(rng->UniformInt(0, 4))})
+                    .ok());
+  }
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < 2; ++c) {
+      if (rng->Bernoulli(0.2)) {
+        Cell& cell = t.mutable_cell(r, c);
+        cell.add_candidate(
+            {Value(rng->UniformInt(0, 4)), 0.5, 0, CandidateKind::kPoint});
+        cell.add_candidate(
+            {Value(rng->UniformInt(0, 4)), 0.5, 1, CandidateKind::kPoint});
+      }
+      if (rng->Bernoulli(0.12)) {
+        t.mutable_cell(r, c).add_candidate(
+            {Value(rng->UniformInt(0, 4)), 0.5, 2,
+             rng->Bernoulli(0.5) ? CandidateKind::kLessEq
+                                 : CandidateKind::kGreaterThan});
+      }
+    }
+  }
+  return t;
+}
+
+// One equi-join conjunct between FROM positions `l` and `r`, written in a
+// random orientation.
+std::string JoinConjunct(Rng* rng, size_t l, const char* lcol, size_t r,
+                         const char* rcol) {
+  const std::string lhs = "t" + std::to_string(l) + "." + lcol;
+  const std::string rhs = "t" + std::to_string(r) + "." + rcol;
+  return rng->Bernoulli(0.5) ? lhs + " = " + rhs : rhs + " = " + lhs;
+}
+
+// Every plan shape — spanning-tree chains the optimizer may reorder,
+// composite keys, cycles, and predicate-free (cartesian) steps — returns
+// exactly the reference join of the per-table filtered rows, row order
+// included, with the optimizer on and off.
+TEST(PlanTest, JoinMatchesReferenceOracleAcrossSeeds) {
+  size_t shapes[4] = {0, 0, 0, 0};
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    Rng rng(1000 + seed);
+    const size_t n = static_cast<size_t>(rng.UniformInt(2, 4));
+    Database db;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string name = "t" + std::to_string(i);
+      ASSERT_TRUE(db.AddTable(MakeJoinTable(&rng, name)).ok());
+    }
+    std::vector<std::string> conjuncts;
+    const size_t shape = seed % 4;
+    ++shapes[shape];
+    if (shape != 3) {  // chain: t(i-1).a = t(i).b
+      for (size_t i = 1; i < n; ++i) {
+        conjuncts.push_back(JoinConjunct(&rng, i - 1, "a", i, "b"));
+      }
+    }
+    if (shape == 1) {  // composite key on the first join
+      conjuncts.push_back(JoinConjunct(&rng, 0, "b", 1, "a"));
+    }
+    if (shape == 2) {  // cycle closing back to t0 (composite when n = 2)
+      conjuncts.push_back(JoinConjunct(&rng, 0, "b", n - 1, "a"));
+    }
+    if (shape == 3) {  // some steps connected, the rest cartesian
+      for (size_t i = 1; i < n; ++i) {
+        if (rng.Bernoulli(0.4)) {
+          conjuncts.push_back(JoinConjunct(
+              &rng, static_cast<size_t>(rng.UniformInt(0, i - 1)), "a", i,
+              "a"));
+        }
+      }
+    }
+    if (rng.Bernoulli(0.5)) {
+      const size_t t = static_cast<size_t>(rng.UniformInt(0, n - 1));
+      conjuncts.push_back("t" + std::to_string(t) + ".b > 1");
+    }
+    std::string sql = "SELECT * FROM t0";
+    for (size_t i = 1; i < n; ++i) sql += ", t" + std::to_string(i);
+    for (size_t k = 0; k < conjuncts.size(); ++k) {
+      sql += (k == 0 ? " WHERE " : " AND ") + conjuncts[k];
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + sql);
+
+    auto stmt = ParseQuery(sql).ValueOrDie();
+    std::vector<const Table*> tables;
+    for (size_t i = 0; i < n; ++i) {
+      tables.push_back(db.GetTable("t" + std::to_string(i)).ValueOrDie());
+    }
+    auto split = SplitWhereClause(stmt, tables).ValueOrDie();
+    std::vector<std::vector<RowId>> qualifying;
+    for (size_t i = 0; i < n; ++i) {
+      qualifying.push_back(FilterRows(*tables[i],
+                                      split.table_filters[i].get(),
+                                      tables[i]->AllRowIds())
+                               .ValueOrDie());
+    }
+    const std::vector<JoinedRow> expected =
+        oracle::JoinTables(tables, qualifying, split.joins);
+    for (bool optimizer : {true, false}) {
+      Planner planner(&db);
+      planner.set_optimizer(optimizer);
+      auto out = planner.PlanQuery(stmt).ValueOrDie().Execute().ValueOrDie();
+      EXPECT_EQ(out.lineage, expected) << "optimizer=" << optimizer;
+    }
+  }
+  for (size_t count : shapes) EXPECT_GE(count, 25u);
 }
 
 }  // namespace

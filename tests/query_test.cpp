@@ -1,10 +1,12 @@
 // Tests for the query engine: SQL parser, probabilistic predicate
-// evaluation, WHERE splitting, joins, and aggregation.
+// evaluation, WHERE splitting, joins, and aggregation. Statements run the
+// way every caller runs them: ParseQuery -> Planner::PlanQuery ->
+// Plan::Execute.
 
 #include <gtest/gtest.h>
 
+#include "plan/planner.h"
 #include "query/eval.h"
-#include "query/executor.h"
 #include "query/parser.h"
 
 namespace daisy {
@@ -163,6 +165,15 @@ TEST(EvalTest, UnknownColumnFails) {
 
 // -------------------------------------------------------------- Executor --
 
+Result<QueryOutput> RunSql(Database* db, const std::string& sql,
+                           bool optimizer = true) {
+  DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
+  Planner planner(db);
+  planner.set_optimizer(optimizer);
+  DAISY_ASSIGN_OR_RETURN(Plan plan, planner.PlanQuery(stmt));
+  return plan.Execute();
+}
+
 Database MakeJoinDb() {
   Database db;
   Table emp("emp", Schema({{"name", ValueType::kString},
@@ -182,9 +193,8 @@ Database MakeJoinDb() {
 
 TEST(ExecutorTest, SelectProjectFilter) {
   Database db = MakeJoinDb();
-  QueryExecutor exec(&db);
   auto out =
-      exec.Execute("SELECT name FROM emp WHERE salary >= 200").ValueOrDie();
+      RunSql(&db, "SELECT name FROM emp WHERE salary >= 200").ValueOrDie();
   ASSERT_EQ(out.result.num_rows(), 2u);
   EXPECT_EQ(out.result.cell(0, 0).original(), Value("bob"));
   EXPECT_EQ(out.result.cell(1, 0).original(), Value("cat"));
@@ -194,10 +204,9 @@ TEST(ExecutorTest, SelectProjectFilter) {
 
 TEST(ExecutorTest, EquiJoin) {
   Database db = MakeJoinDb();
-  QueryExecutor exec(&db);
-  auto out = exec.Execute(
-                     "SELECT emp.name, dept.dept_name FROM emp, dept "
-                     "WHERE emp.dept_id = dept.id AND dept.dept_name = 'eng'")
+  auto out = RunSql(&db,
+                    "SELECT emp.name, dept.dept_name FROM emp, dept "
+                    "WHERE emp.dept_id = dept.id AND dept.dept_name = 'eng'")
                  .ValueOrDie();
   ASSERT_EQ(out.result.num_rows(), 2u);
   EXPECT_EQ(out.result.cell(0, 1).original(), Value("eng"));
@@ -212,10 +221,9 @@ TEST(ExecutorTest, ProbabilisticJoinKeyOverlap) {
                                          CandidateKind::kPoint});
   emp->mutable_cell(0, 1).add_candidate({Value(2), 0.5, 1,
                                          CandidateKind::kPoint});
-  QueryExecutor exec(&db);
-  auto out = exec.Execute(
-                     "SELECT emp.name, dept.dept_name FROM emp, dept "
-                     "WHERE emp.dept_id = dept.id")
+  auto out = RunSql(&db,
+                    "SELECT emp.name, dept.dept_name FROM emp, dept "
+                    "WHERE emp.dept_id = dept.id")
                  .ValueOrDie();
   size_t ann_matches = 0;
   for (RowId r = 0; r < out.result.num_rows(); ++r) {
@@ -226,11 +234,10 @@ TEST(ExecutorTest, ProbabilisticJoinKeyOverlap) {
 
 TEST(ExecutorTest, GroupByAggregates) {
   Database db = MakeJoinDb();
-  QueryExecutor exec(&db);
-  auto out = exec.Execute(
-                     "SELECT dept_id, COUNT(*) AS n, SUM(salary) AS s, "
-                     "AVG(salary) AS a, MIN(salary) AS lo, MAX(salary) AS hi "
-                     "FROM emp GROUP BY dept_id")
+  auto out = RunSql(&db,
+                    "SELECT dept_id, COUNT(*) AS n, SUM(salary) AS s, "
+                    "AVG(salary) AS a, MIN(salary) AS lo, MAX(salary) AS hi "
+                    "FROM emp GROUP BY dept_id")
                  .ValueOrDie();
   ASSERT_EQ(out.result.num_rows(), 2u);
   // Find dept 1.
@@ -247,8 +254,7 @@ TEST(ExecutorTest, GroupByAggregates) {
 
 TEST(ExecutorTest, GlobalAggregateWithoutGroupBy) {
   Database db = MakeJoinDb();
-  QueryExecutor exec(&db);
-  auto out = exec.Execute("SELECT COUNT(*) FROM emp").ValueOrDie();
+  auto out = RunSql(&db, "SELECT COUNT(*) FROM emp").ValueOrDie();
   ASSERT_EQ(out.result.num_rows(), 1u);
   EXPECT_EQ(out.result.cell(0, 0).original(), Value(3));
 }
@@ -277,23 +283,20 @@ TEST(ExecutorTest, AmbiguousColumnRejected) {
   ASSERT_TRUE(b.AppendRow({Value(1)}).ok());
   ASSERT_TRUE(db.AddTable(std::move(a)).ok());
   ASSERT_TRUE(db.AddTable(std::move(b)).ok());
-  QueryExecutor exec(&db);
-  EXPECT_FALSE(exec.Execute("SELECT * FROM a, b WHERE x = 1").ok());
+  EXPECT_FALSE(RunSql(&db, "SELECT * FROM a, b WHERE x = 1").ok());
 }
 
 TEST(ExecutorTest, UnknownTableOrColumn) {
   Database db = MakeJoinDb();
-  QueryExecutor exec(&db);
-  EXPECT_FALSE(exec.Execute("SELECT * FROM nope").ok());
-  EXPECT_FALSE(exec.Execute("SELECT nope FROM emp").ok());
-  EXPECT_FALSE(exec.Execute("SELECT * FROM emp WHERE ghost = 1").ok());
+  EXPECT_FALSE(RunSql(&db, "SELECT * FROM nope").ok());
+  EXPECT_FALSE(RunSql(&db, "SELECT nope FROM emp").ok());
+  EXPECT_FALSE(RunSql(&db, "SELECT * FROM emp WHERE ghost = 1").ok());
 }
 
 TEST(ExecutorTest, StarExpansionQualifiesOnJoin) {
   Database db = MakeJoinDb();
-  QueryExecutor exec(&db);
-  auto out = exec.Execute(
-                     "SELECT * FROM emp, dept WHERE emp.dept_id = dept.id")
+  auto out = RunSql(&db,
+                    "SELECT * FROM emp, dept WHERE emp.dept_id = dept.id")
                  .ValueOrDie();
   EXPECT_EQ(out.result.schema().num_columns(), 5u);
   EXPECT_TRUE(out.result.schema().HasColumn("emp.name"));
@@ -307,15 +310,82 @@ TEST(ExecutorTest, ProbabilisticCellsSurviveProjection) {
                                          CandidateKind::kPoint});
   emp->mutable_cell(0, 2).add_candidate({Value(500.0), 0.5, 1,
                                          CandidateKind::kPoint});
-  QueryExecutor exec(&db);
   // May-semantics: ann qualifies for salary > 400 through the candidate.
   auto out =
-      exec.Execute("SELECT name, salary FROM emp WHERE salary > 400")
+      RunSql(&db, "SELECT name, salary FROM emp WHERE salary > 400")
           .ValueOrDie();
   ASSERT_EQ(out.result.num_rows(), 1u);
   EXPECT_EQ(out.result.cell(0, 0).original(), Value("ann"));
   EXPECT_TRUE(out.result.cell(0, 1).is_probabilistic());
   EXPECT_EQ(out.result.cell(0, 1).candidates().size(), 2u);
+}
+
+// Every predicate connecting a FROM table to the tables before it is
+// applied, not only the first one (composite keys, cycles), with the
+// optimizer on and off — both queries fall outside its exactness gate, so
+// both settings run the FROM-order join tree.
+TEST(ExecutorTest, CompositeKeyJoinAppliesEveryPredicate) {
+  Database db;
+  Table a("a", Schema({{"x", ValueType::kInt}, {"y", ValueType::kInt}}));
+  ASSERT_TRUE(a.AppendRow({Value(1), Value(1)}).ok());
+  ASSERT_TRUE(a.AppendRow({Value(1), Value(2)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(a)).ok());
+  Table b("b", Schema({{"x", ValueType::kInt}, {"y", ValueType::kInt}}));
+  ASSERT_TRUE(b.AppendRow({Value(1), Value(1)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(b)).ok());
+  for (bool optimizer : {true, false}) {
+    auto out = RunSql(&db,
+                      "SELECT a.x, a.y, b.y FROM a, b "
+                      "WHERE a.x = b.x AND a.y = b.y",
+                      optimizer)
+                   .ValueOrDie();
+    ASSERT_EQ(out.result.num_rows(), 1u) << "optimizer=" << optimizer;
+    EXPECT_EQ(out.lineage, (std::vector<JoinedRow>{{0, 0}}));
+  }
+}
+
+TEST(ExecutorTest, CyclicJoinAppliesEveryPredicate) {
+  Database db;
+  Table ta("ta", Schema({{"x", ValueType::kInt}, {"z", ValueType::kInt}}));
+  ASSERT_TRUE(ta.AppendRow({Value(1), Value(10)}).ok());
+  ASSERT_TRUE(ta.AppendRow({Value(1), Value(20)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(ta)).ok());
+  Table tb("tb", Schema({{"x", ValueType::kInt}, {"y", ValueType::kInt}}));
+  ASSERT_TRUE(tb.AppendRow({Value(1), Value(5)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(tb)).ok());
+  Table tc("tc", Schema({{"y", ValueType::kInt}, {"z", ValueType::kInt}}));
+  ASSERT_TRUE(tc.AppendRow({Value(5), Value(10)}).ok());
+  ASSERT_TRUE(tc.AppendRow({Value(5), Value(30)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(tc)).ok());
+  for (bool optimizer : {true, false}) {
+    auto out = RunSql(&db,
+                      "SELECT ta.z, tc.z FROM ta, tb, tc WHERE ta.x = tb.x "
+                      "AND tb.y = tc.y AND ta.z = tc.z",
+                      optimizer)
+                   .ValueOrDie();
+    EXPECT_EQ(out.lineage, (std::vector<JoinedRow>{{0, 0, 0}}))
+        << "optimizer=" << optimizer;
+  }
+}
+
+// Join subtrees index FROM positions in 64-bit masks: a wider FROM list
+// (self-joins allowed) is rejected at plan time.
+TEST(ExecutorTest, FromListWiderThan64Rejected) {
+  Database db;
+  Table t("t", Schema({{"x", ValueType::kInt}}));
+  ASSERT_TRUE(t.AppendRow({Value(1)}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  auto from_list = [](size_t n) {
+    std::string sql = "SELECT COUNT(*) FROM t";
+    for (size_t i = 1; i < n; ++i) sql += ", t";
+    return sql;
+  };
+  auto wide = RunSql(&db, from_list(65));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
+  auto widest = RunSql(&db, from_list(64)).ValueOrDie();
+  ASSERT_EQ(widest.result.num_rows(), 1u);
+  EXPECT_EQ(widest.result.cell(0, 0).original(), Value(1));
 }
 
 }  // namespace
