@@ -16,8 +16,9 @@ Checks, line by line:
     non-decreasing bucket counts and ``_count`` equal to the +Inf bucket.
 
 ``--require FAM[,FAM...]`` additionally demands at least one family per
-given prefix — CI uses ``--require daisy_engine,daisy_persist,daisy_server``
-to prove the scrape crosses all three layers.
+given prefix — CI uses
+``--require daisy_engine,daisy_persist,daisy_server,daisy_storage`` to prove
+the scrape crosses all four layers.
 
 Usage: check_metrics_format.py [PAGE_FILE] [--require PREFIXES]
 (reads stdin when no file is given). Exit 0 = valid, 1 = findings,

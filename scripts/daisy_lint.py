@@ -29,6 +29,13 @@ Rules (each scoped to the directories where the invariant applies):
               every DAISY_* variable means the same thing to every
               consumer.
 
+  mutable-cell [src/, tools/]  No ``mutable_cell(`` / ``mutable_row(``
+              outside src/datagen/ and src/storage/table.{h,cc}. Candidate
+              writes go through Table::SetCandidates, which keeps the
+              column cache valid in O(1); in-place access bumps the
+              column's content version and forces a full rebuild, so it
+              is reserved for data generators editing originals.
+
   test-nondet [tests/]         No nondeterminism sources on test golden
               paths: ``std::random_device``, ``srand``/``rand``,
               ``time(nullptr)``. Tests seed their PRNGs with constants so
@@ -58,6 +65,11 @@ RAW_STDERR_EXEMPT = {
 RAW_GETENV_EXEMPT = {
     "src/clean/daisy_engine.cc",  # ApplyEnvOverrides: the one env reader
 }
+MUTABLE_CELL_EXEMPT = {
+    "src/storage/table.h",  # the accessors themselves
+    "src/storage/table.cc",
+}
+MUTABLE_CELL_EXEMPT_DIRS = ("src/datagen/",)  # original-value perturbation
 RAW_THREAD_EXEMPT = {
     "src/common/mutex.h",
     "src/common/thread_annotations.h",
@@ -128,6 +140,17 @@ RULES = [
             (re.compile(r"\bgetenv\s*\("),
              "environment read outside ApplyEnvOverrides "
              "(src/clean/daisy_engine.cc); add a DaisyOptions field there"),
+        ],
+    },
+    {
+        "name": "mutable-cell",
+        "dirs": ("src", "tools"),
+        "exempt": MUTABLE_CELL_EXEMPT,
+        "exempt_dirs": MUTABLE_CELL_EXEMPT_DIRS,
+        "patterns": [
+            (re.compile(r"\bmutable_(cell|row)\s*\("),
+             "candidate writes go through Table::SetCandidates; original "
+             "edits belong to datagen"),
         ],
     },
     {
@@ -244,6 +267,8 @@ def lint_file(root, rel):
     top_dir = rel.split("/", 1)[0]
     for rule in RULES:
         if top_dir not in rule["dirs"] or rel in rule["exempt"]:
+            continue
+        if rel.startswith(rule.get("exempt_dirs", ())):
             continue
         for idx, line in enumerate(code_lines, start=1):
             for pattern, msg in rule["patterns"]:

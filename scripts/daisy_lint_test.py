@@ -83,6 +83,28 @@ FIXTURES = [
      "// never std::getenv(\"DAISY_X\") here\nint x;\n", 0),
     ("getenv not scoped to tests", "tests/g_test.cpp",
      '#include <cstdlib>\nconst char* v = std::getenv("DAISY_X");\n', 0),
+    # --- mutable-cell ---
+    ("candidate write through mutable_cell flagged", "src/repair/provenance.cc",
+     "void F(Table* table, RowId row, size_t col) {\n"
+     "  Cell& cell = table->mutable_cell(row, col);\n"
+     "  cell.ClearCandidates();\n}\n", 1),
+    ("snapshot decoder mutable_cell flagged", "src/persist/snapshot.cc",
+     "void F(Table& table, uint64_t row, uint32_t col) {\n"
+     "  table.mutable_cell(row, col).set_candidates(std::move(cands));\n}\n",
+     1),
+    ("mutable_row flagged in tools", "tools/m_main.cc",
+     "void F(Table* t) { t->mutable_row(0); }\n", 1),
+    ("SetCandidates passes", "src/repair/provenance.cc",
+     "void F(Table* t) { t->SetCandidates(0, 1, {}); }\n", 0),
+    ("datagen exempt", "src/datagen/ssb.cc",
+     "void F(Table* t) { t->mutable_cell(0, 1) = Cell(Value(1)); }\n", 0),
+    ("table accessors exempt", "src/storage/table.h",
+     "Cell& mutable_cell(RowId r, size_t c) { return rows_[r].cells[c]; }\n",
+     0),
+    ("mutable_cell in comment ignored", "src/x/m.cc",
+     "// never mutable_cell(r, c) here\nint x;\n", 0),
+    ("mutable_cell not scoped to tests", "tests/m_test.cpp",
+     "void F(Table* t) { t->mutable_cell(0, 0) = Cell(Value(1)); }\n", 0),
     # --- test-nondet ---
     ("random_device flagged in tests", "tests/b_test.cpp",
      "#include <random>\nstd::random_device rd;\n", 1),

@@ -287,10 +287,11 @@ Status DaisyEngine::Prepare() {
 }
 
 void DaisyEngine::RefreshDerivedState() {
-  // Caches first (a rebuild may reallocate the arrays the detectors point
-  // into), detectors second (their EnsureFresh re-points at the fresh
-  // arrays). After this, the shared read path finds every *built*
-  // projection and every detector fresh: column() takes its lock-free
+  // Caches first (an append extension reallocates the arrays the
+  // detectors point into; repairs never do — they flip probabilistic bits
+  // in place), detectors second (their EnsureFresh rebuilds partitions
+  // over the grown arrays). After this, the shared read path finds every
+  // *built* projection and every detector fresh: column() takes its lock-free
   // fast path and EnsureFresh is a pure read — "no rebuild under a
   // reader". Never-touched columns stay lazy; a reader that is the first
   // ever to compile a filter on one builds it cold under the cache's

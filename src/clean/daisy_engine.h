@@ -393,7 +393,8 @@ class DaisyEngine {
   Result<QueryReport> ExecutePlanLocked(Plan* plan, bool read_path,
                                         uint64_t epoch)
       DAISY_REQUIRES_SHARED(*mu_);
-  /// Rebuilds every stale column projection and resyncs every DC detector.
+  /// Extends every built column projection over appended rows (rebuilds
+  /// one after an original edit) and resyncs every DC detector.
   /// Called at the end of each writer section, before mu_ is released, so
   /// the shared read path only ever reads fresh derived state.
   void RefreshDerivedState() DAISY_REQUIRES(*mu_);

@@ -89,18 +89,17 @@ void ThetaJoinDetector::EnsureFresh() {
   // Content change: the values an involved column exposes differ from the
   // ones the current partitions/coverage were computed on. A new cache
   // identity (the table was reassigned wholesale) counts — generations of
-  // different cache instances are not comparable.
+  // different cache instances are not comparable. Every rebuild advances
+  // the generation and every extension grows the row count, so the two
+  // branches below also cover every reallocation of the arrays the
+  // compiled atoms point into.
   bool content_changed =
       cols_.size() != cols.size() || cache.id() != cache_id_;
-  // Storage move: a rebuild reallocated the arrays the compiled atoms
-  // point into, even if it reproduced identical content (the usual
-  // candidate-only repair path). Pointers must be refreshed either way.
-  bool storage_moved = content_changed;
   if (!content_changed) {
     for (size_t i = 0; i < cols.size(); ++i) {
-      const ColumnCache::Column& col = cache.column(cols[i]);
-      if (col.generation != col_generations_[i]) content_changed = true;
-      if (col.num.data() != col_data_[i]) storage_moved = true;
+      if (cache.column(cols[i]).generation != col_generations_[i]) {
+        content_changed = true;
+      }
     }
   }
   if (content_changed) {
@@ -134,8 +133,6 @@ void ThetaJoinDetector::EnsureFresh() {
   if (appended || deleted) {
     BuildPartitions();
     range_vio_valid_ = false;
-  } else if (storage_moved) {
-    BuildPartitions();
   }
 }
 
@@ -221,12 +218,10 @@ void ThetaJoinDetector::BuildPartitions() {
   cache_id_ = cache.id();
   cols_.clear();
   col_generations_.clear();
-  col_data_.clear();
   for (size_t c : cols) {
     const ColumnCache::Column& col = cache.column(c);
     cols_.push_back(&col);
     col_generations_.push_back(col.generation);
-    col_data_.push_back(col.num.data());
   }
   sort_slot_ = static_cast<size_t>(
       std::lower_bound(cols.begin(), cols.end(), sort_column_) - cols.begin());
@@ -860,9 +855,7 @@ bool ThetaJoinDetector::QuiescentForReaders() const {
   const std::vector<size_t>& cols = dc_->involved_columns();
   if (cols_.size() != cols.size() || cache.id() != cache_id_) return false;
   for (size_t i = 0; i < cols.size(); ++i) {
-    const ColumnCache::Column& col = cache.column(cols[i]);
-    if (col.generation != col_generations_[i]) return false;
-    if (col.num.data() != col_data_[i]) return false;
+    if (cache.column(cols[i]).generation != col_generations_[i]) return false;
   }
   if (checked_.size() != table_->num_rows()) return false;
   if (deleted_log_pos_ != table_->deleted_rows_log().size()) return false;

@@ -25,11 +25,11 @@
 // fall back to per-cell Value evaluation. Double comparisons on mixed
 // int/double columns match Value semantics for |v| < 2^53.
 //
-// The cache's content generations are checked on every public entry: a
-// repair that edits an original value invalidates the affected column
-// projection, rebuilds the partitions, and resets the checked-row coverage
-// (the old coverage was computed on different data); candidate-only repairs
-// keep both.
+// The cache's content generations are checked on every public entry: an
+// edit of an original value invalidates the affected column projection,
+// rebuilds the partitions, and resets the checked-row coverage (the old
+// coverage was computed on different data); repairs attach candidates
+// only, never touch the cache's value arrays, and keep both.
 //
 // Ingest deltas are cheaper than content changes: appended rows extend the
 // coverage vector as unchecked and only the partitions are rebuilt (from
@@ -323,14 +323,12 @@ class ThetaJoinDetector {
   /// owe their new x old pass.
   RowId integrated_rows_ = 0;
 
-  // Flat-array state, rebuilt whenever an involved column's storage or
-  // content moves (see EnsureFresh). cols_ is indexed by involved-column
-  // slot; col_data_ snapshots the array addresses the compiled atoms
-  // point into.
+  // Flat-array state, rebuilt whenever an involved column's content
+  // generation moves or the table's rows change (see EnsureFresh). cols_
+  // is indexed by involved-column slot.
   uint64_t cache_id_ = 0;
   std::vector<const ColumnCache::Column*> cols_;
   std::vector<uint64_t> col_generations_;
-  std::vector<const double*> col_data_;
   std::vector<CompiledAtom> compiled_;
   bool range_index_built_ = false;
 

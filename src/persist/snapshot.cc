@@ -219,9 +219,8 @@ Result<Table> DecodeTable(BinaryReader* r) {
       cand.kind = static_cast<CandidateKind>(kind);
       cands.push_back(std::move(cand));
     }
-    // AppendRowUnchecked gave us fresh rows; writing candidates through the
-    // mutable path here is fine — the cache does not exist yet.
-    table.mutable_cell(row, col).set_candidates(std::move(cands));
+    // Stored as persisted: no renormalization, so restore is bit-exact.
+    table.SetCandidates(row, col, std::move(cands));
   }
 
   DAISY_RETURN_IF_ERROR(table.RestorePersistedState(

@@ -18,8 +18,8 @@
 // Cells that carry repair candidates cannot be answered from the projected
 // originals, so those rows fall back to the exact CellMaySatisfy/
 // CellsMayMatch path via the cache's per-column probabilistic mask
-// (ColumnCache::Column::probs, refreshed by the same version-counter
-// rebuild as the arrays). The compiled references are valid for one
+// (ColumnCache::Column::probs, kept current in place by
+// Table::SetCandidates). The compiled references are valid for one
 // execution: the plan runtime fully drains a Filter before any downstream
 // cleaning operator mutates the table.
 

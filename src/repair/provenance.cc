@@ -173,9 +173,8 @@ void ProvenanceStore::DropRuleRecords(Table* table, RowId row,
 
 void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
   auto it = records_.find({row, col});
-  Cell& cell = table->mutable_cell(row, col);
   if (it == records_.end() || it->second.empty()) {
-    cell.ClearCandidates();
+    table->SetCandidates(row, col, {});
     return;
   }
   // Union sources across rules: key = (pair_tag, kind, value), counts sum.
@@ -225,8 +224,8 @@ void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
     c.kind = m.kind;
     cands.push_back(std::move(c));
   }
-  cell.set_candidates(std::move(cands));
-  cell.Normalize();
+  NormalizeCandidates(&cands);
+  table->SetCandidates(row, col, std::move(cands));
 }
 
 }  // namespace daisy

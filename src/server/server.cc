@@ -154,7 +154,15 @@ Status DaisyServer::Start() {
 
 void DaisyServer::Stop() {
   if (!started_) return;
-  stopping_.store(true);
+  {
+    // Set under the mutex the workers' wait predicate reads under: a
+    // worker between its predicate check and Wait holds queue_mu_, so the
+    // flag lands either before the check or while the worker waits (and
+    // the NotifyAll below wakes it) — never in the gap, which would lose
+    // the wake-up and hang the join.
+    MutexLock lk(&queue_mu_);
+    stopping_.store(true);
+  }
 
   // Unblock accept threads.
   for (int fd : listen_fds_) {

@@ -44,6 +44,10 @@ struct Candidate {
   }
 };
 
+/// Rescales probabilities to sum to 1 (no-op on an empty set or when the
+/// total mass is zero).
+void NormalizeCandidates(std::vector<Candidate>* cands);
+
 /// A table cell: clean (single deterministic value) or probabilistic
 /// (original value retained as provenance + candidate set).
 class Cell {
@@ -59,8 +63,10 @@ class Cell {
 
   const std::vector<Candidate>& candidates() const { return candidates_; }
 
-  /// Replaces the candidate set. Call Normalize() afterwards if the weights
-  /// are raw frequencies.
+  /// Replaces the candidate set as given (no renormalization; run
+  /// NormalizeCandidates first if the weights are raw frequencies). Engine
+  /// code writes candidates through Table::SetCandidates, which keeps the
+  /// column cache's probabilistic mask in step.
   void set_candidates(std::vector<Candidate> cands) {
     candidates_ = std::move(cands);
   }
@@ -68,10 +74,6 @@ class Cell {
 
   /// Drops candidates, reverting the cell to its clean original value.
   void ClearCandidates() { candidates_.clear(); }
-
-  /// Rescales probabilities to sum to 1 (no-op on a clean cell or when the
-  /// total mass is zero).
-  void Normalize();
 
   /// The single most probable point candidate, or the original value for a
   /// clean cell. Range candidates are skipped (they have no point value).

@@ -2,19 +2,45 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <numeric>
 #include <unordered_map>
+
+#include "common/metrics.h"
 
 namespace daisy {
 
 namespace {
+
 std::atomic<uint64_t> g_next_cache_id{1};
+
+struct StorageMetrics {
+  Counter* rebuilds;
+  Counter* extends;
+
+  static StorageMetrics& Get() {
+    static StorageMetrics* const m = new StorageMetrics();
+    return *m;
+  }
+
+  StorageMetrics() {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    rebuilds = r.GetCounter(
+        "daisy_storage_column_rebuilds_total",
+        "Built column projections rebuilt after an original-value edit");
+    extends = r.GetCounter("daisy_storage_column_extends_total",
+                           "Column projections extended by appended rows");
+  }
+};
+
 }  // namespace
 
 ColumnCache::ColumnCache(const Table* table)
     : table_(table),
       slots_(table->num_columns()),
-      id_(g_next_cache_id.fetch_add(1, std::memory_order_relaxed)) {}
+      id_(g_next_cache_id.fetch_add(1, std::memory_order_relaxed)) {
+  (void)StorageMetrics::Get();  // register the families with the first cache
+}
 
 double ColumnCache::NumericCoord(const Value& v) {
   if (v.is_numeric()) return v.AsDouble();
@@ -23,52 +49,58 @@ double ColumnCache::NumericCoord(const Value& v) {
 
 namespace {
 
-// Did the rebuild change the projection of any *previously built* row?
-// Appended rows extend the arrays (and may extend the dictionary) without
-// counting as a content change — consumers key coverage to `generation`
-// and handle row growth through their own append path, so a rebuild that
-// merely picked up new rows (e.g. a candidate-only repair interleaved with
-// an ingest batch) must not reset their state. codes + dict determine
-// ranks/sorted_*; num/nulls are re-derivable from dict too, but comparing
-// them keeps this robust to formula changes.
-bool PrefixUnchanged(const ColumnCache::Column& prev,
-                     const ColumnCache::Column& next) {
-  const size_t n = prev.nulls.size();
-  if (next.nulls.size() < n) return false;
-  return std::equal(prev.nulls.begin(), prev.nulls.end(),
-                    next.nulls.begin()) &&
-         std::equal(prev.codes.begin(), prev.codes.end(),
-                    next.codes.begin()) &&
-         std::equal(prev.num.begin(), prev.num.end(), next.num.begin()) &&
-         prev.dict.size() <= next.dict.size() &&
-         std::equal(prev.dict.begin(), prev.dict.end(), next.dict.begin());
-}
+// The rank order of dictionary codes: Value::Compare, code as tiebreak.
+// Distinct-under-Equals values rarely tie under Compare (int64 beyond
+// 2^53 next to its double neighbour; NaN aside), but the tiebreak keeps
+// the order total and deterministic.
+struct CodeOrder {
+  const std::vector<Value>* dict;
+  bool operator()(uint32_t a, uint32_t b) const {
+    const int cmp = (*dict)[a].Compare((*dict)[b]);
+    if (cmp != 0) return cmp < 0;
+    return a < b;
+  }
+};
 
 }  // namespace
 
 // Recomputes the dense rank relabeling (code -> rank, sorted_distinct,
-// per-row ranks) from the slot's dictionary and codes. Distinct-under-
-// Equals values never tie under Compare (NaN aside), but break ties by
-// code for determinism anyway.
-void ColumnCache::AssignRanks(Slot* slot) {
+// per-row ranks) after codes [old_distinct, dict.size()) joined the
+// dictionary; old_distinct == 0 is a full relabel. Sorts only the new
+// codes, merges them into the existing rank order (recovered from
+// rank_of_code), and relabels in one linear pass. Every new code is larger
+// than every old one, so the CodeOrder tiebreak places it exactly where a
+// full sort would: the result is bit-identical to relabeling from scratch.
+void ColumnCache::AssignRanks(Slot* slot, uint32_t old_distinct) {
   Column& col = slot->col;
-  std::vector<uint32_t> order(col.dict.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const int cmp = col.dict[a].Compare(col.dict[b]);
-    if (cmp != 0) return cmp < 0;
-    return a < b;
-  });
-  slot->rank_of_code.assign(col.dict.size(), 0);
+  const CodeOrder less{&col.dict};
+  std::vector<uint32_t> old_order(old_distinct);
+  for (uint32_t code = 0; code < old_distinct; ++code) {
+    old_order[slot->rank_of_code[code]] = code;
+  }
+  std::vector<uint32_t> new_codes(col.dict.size() - old_distinct);
+  std::iota(new_codes.begin(), new_codes.end(), old_distinct);
+  std::sort(new_codes.begin(), new_codes.end(), less);
+  std::vector<uint32_t> order;
+  order.reserve(col.dict.size());
+  std::merge(old_order.begin(), old_order.end(), new_codes.begin(),
+             new_codes.end(), std::back_inserter(order), less);
+
+  std::vector<Value> old_sorted = std::move(col.sorted_distinct);
   col.sorted_distinct.clear();
   col.sorted_distinct.reserve(order.size());
+  slot->rank_of_code.resize(col.dict.size());
   for (uint32_t i = 0; i < order.size(); ++i) {
-    slot->rank_of_code[order[i]] = i;
-    col.sorted_distinct.push_back(col.dict[order[i]]);
+    const uint32_t code = order[i];
+    col.sorted_distinct.push_back(
+        code < old_distinct ? std::move(old_sorted[slot->rank_of_code[code]])
+                            : col.dict[code]);
+    slot->rank_of_code[code] = i;
   }
-  col.ranks.clear();
-  col.ranks.reserve(col.codes.size());
-  for (uint32_t code : col.codes) col.ranks.push_back(slot->rank_of_code[code]);
+  col.ranks.resize(col.codes.size());
+  for (size_t r = 0; r < col.codes.size(); ++r) {
+    col.ranks[r] = slot->rank_of_code[col.codes[r]];
+  }
 }
 
 void ColumnCache::Rebuild(size_t c) {
@@ -110,11 +142,13 @@ void ColumnCache::Rebuild(size_t c) {
   fresh.sorted_num.reserve(n);
   for (RowId r : fresh.sorted_rows) fresh.sorted_num.push_back(fresh.num[r]);
 
-  const bool unchanged = slot.built && PrefixUnchanged(slot.col, fresh);
-  fresh.generation = unchanged ? slot.col.generation : slot.col.generation + 1;
+  // Only an original edit moves the content version, so a rebuild of a
+  // built column is always a (potential) content change.
+  if (slot.built) StorageMetrics::Get().rebuilds->Increment();
+  fresh.generation = slot.col.generation + 1;
   slot.col = std::move(fresh);
   slot.dict_index = std::move(dict_index);
-  AssignRanks(&slot);
+  AssignRanks(&slot, 0);
   slot.built = true;
   slot.built_content_version = table_->content_version(c);
   slot.built_rows = n;
@@ -122,15 +156,16 @@ void ColumnCache::Rebuild(size_t c) {
 
 // Append-only extension: rows [built_rows, num_rows) join the projections
 // in O(delta) (plus one O(n) merge pass for the sorted index and, only when
-// the delta introduced a new distinct value, an O(n) rank relabel). The
+// the delta introduced new distinct values, an O(n) rank relabel). The
 // content `generation` deliberately stays put — the prefix the consumers'
 // derived state was computed on is unchanged.
 void ColumnCache::Extend(size_t c) {
+  StorageMetrics::Get().extends->Increment();
   const size_t n = table_->num_rows();
   Slot& slot = slots_[c];
   Column& col = slot.col;
   const size_t old_n = slot.built_rows;
-  bool new_distinct = false;
+  const uint32_t old_distinct = static_cast<uint32_t>(col.dict.size());
   for (RowId r = old_n; r < n; ++r) {
     const Cell& cell = table_->cell(r, c);
     const Value& v = cell.original();
@@ -141,16 +176,13 @@ void ColumnCache::Extend(size_t c) {
     col.num.push_back(NumericCoord(v));
     auto [it, inserted] =
         slot.dict_index.emplace(v, static_cast<uint32_t>(col.dict.size()));
-    if (inserted) {
-      col.dict.push_back(v);
-      new_distinct = true;
-    }
+    if (inserted) col.dict.push_back(v);
     col.codes.push_back(it->second);
   }
 
-  if (new_distinct) {
+  if (col.dict.size() > old_distinct) {
     // A fresh value can rank anywhere in the Compare order: relabel.
-    AssignRanks(&slot);
+    AssignRanks(&slot, old_distinct);
   } else {
     for (RowId r = old_n; r < n; ++r) {
       col.ranks.push_back(slot.rank_of_code[col.codes[r]]);
@@ -199,6 +231,14 @@ size_t ColumnCache::TrimmedDistinctCount(size_t c, double frac) {
 size_t ColumnCache::EnsureBuilt(const std::vector<size_t>& cols) {
   for (size_t c : cols) (void)column(c);
   return table_->num_rows();
+}
+
+void ColumnCache::SetProbabilistic(RowId r, size_t c, bool probabilistic) {
+  MutexLock lock(&build_mu_);
+  Slot& slot = slots_[c];
+  if (slot.built && r < slot.built_rows) {
+    slot.col.probs[r] = probabilistic ? 1 : 0;
+  }
 }
 
 void ColumnCache::RefreshBuilt() {

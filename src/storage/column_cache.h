@@ -26,26 +26,29 @@
 //               aligned projections, serving the detector's partition sort
 //               and binary-search range counts.
 //
-// Invalidation protocol: Table bumps a per-column *content* version on
-// every mutable cell access (conservative — attaching repair candidates
-// bumps it too even though detection reads originals). On the next access
-// the cache rebuilds the column and compares content against the previous
-// build; `generation` advances only if the data actually changed. Consumers
-// that keep derived state (partition boundaries, checked-row sets) key it
-// to `generation`, so candidate-only repairs rebuild the projection without
-// discarding incremental detection coverage, while an original-value edit
-// invalidates everything that depends on the column.
+// Invalidation protocol: Table bumps a per-column *content* version only
+// when an original value may have changed in place (mutable_cell — data
+// generators, never the engine). On the next access the cache rebuilds the
+// column and advances its `generation`; consumers that keep derived state
+// (partition boundaries, checked-row sets) key it to `generation`, so an
+// original edit invalidates everything that depends on the column.
 //
-// Appends are NOT content changes: when the table grew but the column's
-// content version did not move, the projections are *extended* in O(delta)
-// — new rows join num/codes/nulls/probs and the dictionary directly; the
-// sorted index merges the (sorted) new tail in one pass; ranks extend by
-// table lookup unless the delta introduced a new distinct value (then the
-// dense rank relabeling is recomputed — O(n), no value re-read). The
-// content `generation` stays put, so delta-aware detectors keep their
-// coverage across ingest batches. Deletes never touch the cache at all:
-// the arrays keep tombstoned rows in place (row-id alignment) and
-// consumers filter through Table::is_live.
+// Repairs are not content changes. Table::SetCandidates writes a cell's
+// candidate set and flips that row's `probs` byte in place (O(1), no
+// reallocation, no version bump); rows the cache does not cover yet pick
+// their bit up when they are extended in.
+//
+// Appends are not content changes either: when the table grew but the
+// column's content version did not move, the projections are *extended*
+// in O(delta) — new rows join num/codes/nulls/probs and the dictionary
+// directly; the sorted index merges the (sorted) new tail in one pass;
+// ranks extend by table lookup, and when the delta introduced new
+// distinct values only those are sorted and merged into the existing rank
+// order (one O(n) relabel pass, no re-sort of the dictionary). The content
+// `generation` stays put, so delta-aware detectors keep their coverage
+// across ingest batches. Deletes never touch the cache at all: the arrays
+// keep tombstoned rows in place (row-id alignment) and consumers filter
+// through Table::is_live.
 //
 // Concurrent-reader publication: a built column is published by storing
 // its (content-version, row-count) pair into per-slot atomics; column()
@@ -83,9 +86,8 @@ class ColumnCache {
     std::vector<uint8_t> nulls;     ///< row-ordered null mask (1 = null)
     /// Cells carrying repair candidates (1 = probabilistic). Consumers that
     /// answer from the projected originals must fall back to per-cell
-    /// evaluation for these rows. Deliberately excluded from the content
-    /// comparison: attaching candidates refreshes this mask on rebuild but
-    /// does not advance `generation`.
+    /// evaluation for these rows. Maintained in place by
+    /// Table::SetCandidates; never part of `generation`.
     std::vector<uint8_t> probs;
     std::vector<Value> dict;        ///< code -> first-seen value
     std::vector<Value> sorted_distinct;  ///< rank -> representative value
@@ -93,9 +95,9 @@ class ColumnCache {
     std::vector<double> sorted_num;      ///< num aligned with sorted_rows
     bool numeric_only = true;  ///< every non-null value is numeric
     bool has_nulls = false;    ///< some value is null
-    /// Advances only when a rebuild changed the projection of a previously
-    /// built row — appends (pure extensions, or rebuilds that merely picked
-    /// up new rows) keep it, so detector coverage survives ingest batches.
+    /// Advances on every rebuild (an original may have changed); extensions
+    /// and candidate writes keep it, so detector coverage survives ingest
+    /// batches and repairs.
     uint64_t generation = 0;
   };
 
@@ -173,6 +175,11 @@ class ColumnCache {
   /// can hold pointers into arrays that never existed.
   void RefreshBuilt();
 
+  /// Candidate-write hook (Table::SetCandidates): sets row `r`'s
+  /// probabilistic bit in column `c` if the column is built and covers the
+  /// row. O(1), no reallocation; callers hold the table exclusively.
+  void SetProbabilistic(RowId r, size_t c, bool probabilistic);
+
   /// Process-unique identity of this cache instance. A consumer holding
   /// array pointers must treat a different id as a wholesale data change
   /// (the table was reassigned and its cache rebuilt from scratch —
@@ -207,12 +214,13 @@ class ColumnCache {
 
   void Rebuild(size_t c) DAISY_REQUIRES(build_mu_);
   void Extend(size_t c) DAISY_REQUIRES(build_mu_);
-  static void AssignRanks(Slot* slot);
+  static void AssignRanks(Slot* slot, uint32_t old_distinct);
 
   const Table* table_;
   /// Sized at construction, never resized. Slots are not GUARDED_BY: the
   /// vector itself is immutable after construction, each slot's arrays are
-  /// written only under build_mu_ (via Rebuild/Extend), and the published_*
+  /// written only under build_mu_ (via Rebuild/Extend, and the probs bytes
+  /// via SetProbabilistic), and the published_*
   /// atomics are the slot's own release/acquire gate for lock-free readers.
   std::vector<Slot> slots_;
   uint64_t id_;

@@ -19,7 +19,6 @@ Table::Table(const Table& other)
     : name_(other.name_),
       schema_(other.schema_),
       rows_(other.rows_),
-      version_(other.version_),
       column_versions_(other.column_versions_),
       append_version_(other.append_version_),
       delta_generation_(other.delta_generation_),
@@ -32,7 +31,6 @@ Table& Table::operator=(const Table& other) {
   name_ = other.name_;
   schema_ = other.schema_;
   rows_ = other.rows_;
-  version_ = other.version_;
   column_versions_ = other.column_versions_;
   append_version_ = other.append_version_;
   delta_generation_ = other.delta_generation_;
@@ -53,7 +51,6 @@ Table::Table(Table&& other) noexcept
     : name_(std::move(other.name_)),
       schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
-      version_(other.version_),
       column_versions_(std::move(other.column_versions_)),
       append_version_(other.append_version_),
       delta_generation_(other.delta_generation_),
@@ -69,7 +66,6 @@ Table& Table::operator=(Table&& other) noexcept {
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
   rows_ = std::move(other.rows_);
-  version_ = other.version_;
   column_versions_ = std::move(other.column_versions_);
   append_version_ = other.append_version_;
   delta_generation_ = other.delta_generation_;
@@ -235,11 +231,17 @@ size_t Table::TotalCandidateWidth() const {
   return n;
 }
 
+void Table::SetCandidates(RowId r, size_t c, std::vector<Candidate> cands) {
+  const bool probabilistic = !cands.empty();
+  rows_[r].cells[c].set_candidates(std::move(cands));
+  ColumnCache* cache = cache_ptr_.load(std::memory_order_acquire);
+  if (cache != nullptr) cache->SetProbabilistic(r, c, probabilistic);
+}
+
 void Table::ResetToOriginal() {
-  for (Row& r : rows_) {
-    for (Cell& c : r.cells) c.ClearCandidates();
+  for (RowId r = 0; r < rows_.size(); ++r) {
+    for (size_t c = 0; c < rows_[r].cells.size(); ++c) SetCandidates(r, c, {});
   }
-  BumpAllColumns();
 }
 
 Status Table::RestorePersistedState(std::vector<RowId> deleted_log,

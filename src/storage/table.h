@@ -10,13 +10,17 @@
 // batch atomically and return a TableDelta naming the affected row ids.
 // Two independent generation families let derived state react minimally:
 //
-//  * content_version(c) moves only when an existing cell of column `c` may
-//    have changed in place (mutable access, ResetToOriginal) — the
-//    ColumnCache rebuilds the column from scratch and its content
-//    generation may advance, discarding detector coverage;
+//  * content_version(c) moves only when an original value of column `c`
+//    may have changed in place (mutable_cell, which only data generators
+//    use) — the ColumnCache rebuilds the column and advances its content
+//    generation, discarding detector coverage;
 //  * delta_generation() moves on every append/delete batch — appends extend
 //    the derived projections in O(delta) and deletes only flip the live
 //    mask, so delta-aware detectors keep their coverage.
+//
+// Repairs never touch originals: SetCandidates replaces a cell's candidate
+// set and flips that row's probabilistic bit in the built column cache in
+// O(1), without moving either family.
 
 #ifndef DAISY_STORAGE_TABLE_H_
 #define DAISY_STORAGE_TABLE_H_
@@ -75,11 +79,11 @@ struct TableSnapshot {
 
 /// A named relation with probabilistic cells.
 ///
-/// Every mutable access path bumps a per-column version counter so the
-/// derived columnar projections (see storage/column_cache.h) can invalidate
-/// only the touched columns. Handing out `mutable_cell`/`mutable_row`
-/// references counts as a mutation of the addressed column(s) — do not
-/// stash such a reference and write through it across reads of the cache.
+/// `mutable_cell` bumps the addressed column's version counter so the
+/// derived columnar projections (see storage/column_cache.h) rebuild only
+/// that column. Handing out the reference counts as an edit of the
+/// column's originals — do not stash it and write through it across reads
+/// of the cache. Candidate writes go through SetCandidates instead.
 class Table {
  public:
   Table();
@@ -108,22 +112,26 @@ class Table {
   }
 
   const Row& row(RowId r) const { return rows_[r]; }
-  Row& mutable_row(RowId r) {
-    BumpAllColumns();
-    return rows_[r];
-  }
   const Cell& cell(RowId r, size_t c) const { return rows_[r].cells[c]; }
+  /// Original-value edit access (data generators). Bumps content_version(c).
   Cell& mutable_cell(RowId r, size_t c) {
     BumpColumn(c);
     return rows_[r].cells[c];
   }
 
-  /// In-place mutation counter of column `c`: moves only when an *existing*
-  /// cell may have changed (mutable access, ResetToOriginal) — appends and
-  /// deletes deliberately do not move it, so append-only deltas keep the
-  /// derived columnar projections extendable in O(delta).
+  /// Replaces the candidate set of cell (r, c); an empty vector reverts the
+  /// cell to its clean original. The vector is stored as given (callers
+  /// normalize first). Originals are untouched, so content_version(c) does
+  /// not move: if the column cache covers the row, its probabilistic bit
+  /// flips in place in O(1). Writer-exclusive, like every table mutation.
+  void SetCandidates(RowId r, size_t c, std::vector<Candidate> cands);
+
+  /// In-place original-edit counter of column `c`: moves only when an
+  /// existing original may have changed (mutable_cell) — candidate writes,
+  /// appends and deletes deliberately do not move it, so the derived
+  /// columnar projections stay valid or extendable in O(delta).
   uint64_t content_version(size_t c) const {
-    return version_ + (c < column_versions_.size() ? column_versions_[c] : 0);
+    return c < column_versions_.size() ? column_versions_[c] : 0;
   }
 
   /// Moves once per appended row (all append paths).
@@ -184,7 +192,8 @@ class Table {
   /// probabilistic version (the paper reports this as dataset growth).
   size_t TotalCandidateWidth() const;
 
-  /// Reverts every cell to its original value (drops all repairs).
+  /// Reverts every cell to its original value (drops all repairs) through
+  /// SetCandidates, so it moves no version counter either.
   void ResetToOriginal();
 
   /// Snapshot-recovery hook: installs the ingest history of a persisted
@@ -215,7 +224,6 @@ class Table {
     if (column_versions_.size() <= c) column_versions_.resize(c + 1, 0);
     ++column_versions_[c];
   }
-  void BumpAllColumns() { ++version_; }
   /// Drops the derived cache: unpublishes the lock-free pointer, then
   /// destroys the cache under the creation mutex. Callers run with
   /// exclusive access to the table (assignment, restore), but the lock
@@ -229,8 +237,7 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  uint64_t version_ = 0;  ///< whole-row content mutations (mutable_row etc.)
-  std::vector<uint64_t> column_versions_;  ///< per-column cell mutations
+  std::vector<uint64_t> column_versions_;  ///< per-column original edits
   uint64_t append_version_ = 0;       ///< rows appended
   uint64_t delta_generation_ = 0;     ///< ingest batches applied
   std::vector<uint8_t> live_;         ///< tombstone mask; empty = all live

@@ -1,11 +1,16 @@
 // Tests for the columnar fast-path layer: typed projections, dictionary
-// codes, Compare ranks, the sorted index, and the version/generation
-// invalidation protocol.
+// codes, Compare ranks, the sorted index, the version/generation
+// invalidation protocol, and the incremental-cache differential (appends,
+// candidate writes, deletes and original edits against a from-scratch
+// build).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "storage/column_cache.h"
 #include "storage/table.h"
 
@@ -118,10 +123,9 @@ TEST(ColumnCacheTest, GenerationAdvancesOnlyOnContentChange) {
   Table t = MixedTable();
   ColumnCache& cache = t.columns();
   const uint64_t g0 = cache.generation(0);
-  // Candidate-only repair: version moves, content does not -> generation
-  // stays, so detectors keep their incremental coverage.
-  t.mutable_cell(0, 0).add_candidate({Value(6.0), 1.0, 0,
-                                      CandidateKind::kPoint});
+  // Candidate-only repair: content does not change -> generation stays,
+  // so detectors keep their incremental coverage.
+  t.SetCandidates(0, 0, {{Value(6.0), 1.0, 0, CandidateKind::kPoint}});
   EXPECT_EQ(cache.generation(0), g0);
   // Original-value edit: content changes -> generation advances.
   t.mutable_cell(0, 0) = Cell(Value(6.0));
@@ -149,6 +153,211 @@ TEST(ColumnCacheTest, AppendAfterBuildIsPickedUp) {
   ASSERT_TRUE(t.AppendRow({Value(2)}).ok());
   EXPECT_EQ(t.columns().column(0).num.size(), 2u);
   EXPECT_EQ(t.columns().column(0).sorted_rows.size(), 2u);
+}
+
+TEST(ColumnCacheTest, CandidateWritesFlipMaskInPlace) {
+  Table t = MixedTable();
+  ColumnCache& cache = t.columns();
+  const ColumnCache::Column& col = cache.column(0);
+  const uint64_t gen = col.generation;
+  const double* data = col.num.data();
+  const uint64_t version = t.content_version(0);
+  t.SetCandidates(1, 0, {{Value(6.0), 1.0, 0, CandidateKind::kPoint}});
+  EXPECT_EQ(t.content_version(0), version);
+  EXPECT_EQ(cache.column(0).probs, (std::vector<uint8_t>{0, 1, 0, 0, 0}));
+  t.SetCandidates(1, 0, {});
+  EXPECT_FALSE(t.cell(1, 0).is_probabilistic());
+  EXPECT_EQ(cache.column(0).probs, (std::vector<uint8_t>{0, 0, 0, 0, 0}));
+  t.SetCandidates(4, 0, {{Value(1.0), 1.0, 0, CandidateKind::kPoint}});
+  t.ResetToOriginal();
+  EXPECT_EQ(cache.column(0).probs, (std::vector<uint8_t>{0, 0, 0, 0, 0}));
+  EXPECT_EQ(cache.column(0).generation, gen);
+  EXPECT_EQ(cache.column(0).num.data(), data);
+  EXPECT_EQ(t.content_version(0), version);
+}
+
+// ------------------------------------ incremental vs from-scratch cache --
+
+// Value vectors equal element by element in type and Compare order, so a
+// dictionary that kept `double 5.0` where the reference kept `int 5` (they
+// are Equals-equal) still fails.
+bool SameValues(const std::vector<Value>& a, const std::vector<Value>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type() || a[i].Compare(b[i]) != 0) return false;
+  }
+  return true;
+}
+
+void ExpectSameColumn(const ColumnCache::Column& got,
+                      const ColumnCache::Column& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.num, want.num) << where;
+  EXPECT_EQ(got.codes, want.codes) << where;
+  EXPECT_EQ(got.ranks, want.ranks) << where;
+  EXPECT_EQ(got.nulls, want.nulls) << where;
+  EXPECT_EQ(got.probs, want.probs) << where;
+  EXPECT_TRUE(SameValues(got.dict, want.dict)) << where << " dict";
+  EXPECT_TRUE(SameValues(got.sorted_distinct, want.sorted_distinct))
+      << where << " sorted_distinct";
+  EXPECT_EQ(got.sorted_rows, want.sorted_rows) << where;
+  EXPECT_EQ(got.sorted_num, want.sorted_num) << where;
+  EXPECT_EQ(got.numeric_only, want.numeric_only) << where;
+  EXPECT_EQ(got.has_nulls, want.has_nulls) << where;
+}
+
+// One random value per column of DiffSchema(). Small domains so appends
+// repeat old values as often as they bring new ones. The amount column
+// mixes int and double spellings of the same number (`int 5` next to
+// `double 5.0` share a code) and the pair int 2^53+1 / double 2^53:
+// Equals-equal but hashed apart, so they hold two codes that tie under
+// Compare — the case the rank order's code tiebreak decides.
+Value RandomCell(Rng* rng, size_t c) {
+  if (rng->Bernoulli(0.1)) return Value::Null();
+  switch (c) {
+    case 0: {
+      const int64_t k = rng->UniformInt(0, 40);
+      switch (rng->UniformInt(0, 5)) {
+        case 0:
+          return Value(k);
+        case 1:
+          return Value(static_cast<double>(k));
+        case 2:
+          return Value(static_cast<double>(k) + 0.5);
+        case 3:
+          return rng->Bernoulli(0.5) ? Value(int64_t{9007199254740993})
+                                     : Value(9007199254740992.0);
+        default:
+          return Value(k * 7);
+      }
+    }
+    case 1: {
+      const char letter = static_cast<char>('a' + rng->UniformInt(0, 25));
+      return Value(std::string(1, letter) +
+                   std::to_string(rng->UniformInt(0, 3)));
+    }
+    default:
+      return Value(rng->UniformInt(-20, 20));
+  }
+}
+
+Schema DiffSchema() {
+  return Schema({{"amount", ValueType::kDouble},
+                 {"name", ValueType::kString},
+                 {"k", ValueType::kInt}});
+}
+
+std::vector<Value> RandomRow(Rng* rng) {
+  std::vector<Value> row;
+  for (size_t c = 0; c < 3; ++c) row.push_back(RandomCell(rng, c));
+  return row;
+}
+
+std::vector<Candidate> RandomCandidates(Rng* rng, size_t c) {
+  std::vector<Candidate> cands;
+  const int64_t n = rng->UniformInt(1, 2);
+  for (int64_t i = 0; i < n; ++i) {
+    cands.push_back({RandomCell(rng, c), 1.0 / static_cast<double>(n),
+                     static_cast<int32_t>(i), CandidateKind::kPoint});
+  }
+  return cands;
+}
+
+RowId RandomRowId(Rng* rng, const Table& t) {
+  return static_cast<RowId>(
+      rng->UniformInt(0, static_cast<int64_t>(t.num_rows()) - 1));
+}
+
+// The cache maintained through a random interleaving of appends, candidate
+// writes (set and clear), deletes, original edits and mask resets must
+// equal, after every step, a cache built from scratch over a copy of the
+// table. Candidate-only steps must not rebuild: the generation and the
+// array storage of every built column stay put.
+TEST(ColumnCacheDifferentialTest, IncrementalMatchesFromScratch) {
+  enum Op { kAppend, kSet, kClear, kDelete, kEdit, kReset, kBuild };
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(seed);
+    Table t("d", DiffSchema());
+    const int64_t base = rng.UniformInt(1, 12);
+    for (int64_t i = 0; i < base; ++i) {
+      ASSERT_TRUE(t.AppendRow(RandomRow(&rng)).ok());
+    }
+    ColumnCache& cache = t.columns();
+    std::vector<bool> built(3, false);
+    built[static_cast<size_t>(rng.UniformInt(0, 2))] = true;
+    for (int step = 0; step < 40; ++step) {
+      for (size_t c = 0; c < 3; ++c) {
+        if (built[c]) (void)cache.column(c);
+      }
+      std::vector<uint64_t> gens(3, 0);
+      std::vector<const double*> data(3, nullptr);
+      for (size_t c = 0; c < 3; ++c) {
+        if (!built[c]) continue;
+        gens[c] = cache.column(c).generation;
+        data[c] = cache.column(c).num.data();
+      }
+      const Op op = static_cast<Op>(rng.UniformInt(0, 13) % 7);
+      const size_t col = static_cast<size_t>(rng.UniformInt(0, 2));
+      switch (op) {
+        case kAppend: {
+          std::vector<std::vector<Value>> rows;
+          const int64_t n = rng.UniformInt(1, 4);
+          for (int64_t i = 0; i < n; ++i) rows.push_back(RandomRow(&rng));
+          const RowId first = t.num_rows();
+          ASSERT_TRUE(t.AppendRows(std::move(rows)).ok());
+          // A repair landing on a row the cache has not extended over yet.
+          if (rng.Bernoulli(0.5)) {
+            t.SetCandidates(first, col, RandomCandidates(&rng, col));
+          }
+          break;
+        }
+        case kSet:
+          t.SetCandidates(RandomRowId(&rng, t), col,
+                          RandomCandidates(&rng, col));
+          break;
+        case kClear:
+          t.SetCandidates(RandomRowId(&rng, t), col, {});
+          break;
+        case kDelete: {
+          const RowId r = RandomRowId(&rng, t);
+          if (t.is_live(r)) {
+            ASSERT_TRUE(t.DeleteRows({r}).ok());
+          }
+          break;
+        }
+        case kEdit:
+          t.mutable_cell(RandomRowId(&rng, t), col) =
+              Cell(RandomCell(&rng, col));
+          break;
+        case kReset:
+          if (rng.Bernoulli(0.3)) t.ResetToOriginal();
+          break;
+        case kBuild:
+          built[col] = true;
+          break;
+      }
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step) + " op " +
+                                std::to_string(static_cast<int>(op));
+      const bool candidate_only = op == kSet || op == kClear || op == kReset;
+      Table copy = t;
+      ColumnCache fresh(&copy);
+      for (size_t c = 0; c < 3; ++c) {
+        if (!built[c]) continue;
+        const std::string at = where + " col " + std::to_string(c);
+        const ColumnCache::Column& got = cache.column(c);
+        ExpectSameColumn(got, fresh.column(c), at);
+        if (data[c] == nullptr) continue;  // built by this step
+        if (candidate_only) {
+          EXPECT_EQ(got.generation, gens[c]) << at;
+          EXPECT_EQ(got.num.data(), data[c]) << at;
+        } else if (op == kEdit && c == col) {
+          EXPECT_GT(got.generation, gens[c]) << at;
+        }
+      }
+      if (HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -344,8 +344,7 @@ TEST(ThetaJoinTest, RepairInvalidatesDetectorState) {
   EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
 
   // A candidate-only repair keeps the coverage: nothing is re-checked.
-  t.mutable_cell(2, 1).add_candidate({Value(0.30), 1.0, 0,
-                                      CandidateKind::kPoint});
+  t.SetCandidates(2, 1, {{Value(0.30), 1.0, 0, CandidateKind::kPoint}});
   EXPECT_TRUE(detector.DetectAll().empty());
   EXPECT_EQ(detector.pairs_checked(), 0u);
 
@@ -363,10 +362,9 @@ TEST(ThetaJoinTest, RepairInvalidatesDetectorState) {
 }
 
 TEST(ThetaJoinTest, CandidateRepairMidWorkloadKeepsDetectionCorrect) {
-  // Regression: a candidate-only repair bumps the column version, so the
-  // cache rebuilds its (identical) arrays before the next detection. The
-  // detector must re-point its compiled atoms at the new storage while
-  // keeping its incremental coverage.
+  // Regression: a candidate-only repair between two incremental passes
+  // must keep the detector's coverage (and the arrays its compiled atoms
+  // point into) intact.
   Table t = RandomSalaryTable(60, 61, 0.2);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector detector(&t, &dc, 8);
@@ -380,8 +378,7 @@ TEST(ThetaJoinTest, CandidateRepairMidWorkloadKeepsDetectionCorrect) {
   const size_t after_first = detector.pairs_checked();
   EXPECT_GT(after_first, 0u);
   // Candidate-only repair between the two queries.
-  t.mutable_cell(0, 1).add_candidate({Value(0.5), 1.0, 0,
-                                      CandidateKind::kPoint});
+  t.SetCandidates(0, 1, {{Value(0.5), 1.0, 0, CandidateKind::kPoint}});
   for (const ViolationPair& p : detector.DetectIncremental(batch2)) {
     found.insert({p.t1, p.t2});
   }

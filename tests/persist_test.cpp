@@ -17,6 +17,7 @@
 
 #include "clean/daisy_engine.h"
 #include "common/binary_io.h"
+#include "common/metrics.h"
 #include "persist/format.h"
 #include "persist/io_util.h"
 #include "persist/snapshot.h"
@@ -164,11 +165,9 @@ Table HostileTable() {
           .ok());
   EXPECT_TRUE(t.AppendRow({Value("doomed"), Value(1), Value(1.0)}).ok());
   // Candidates: a point set on (0, "s") and a range candidate on (3, "d").
-  Cell& c0 = t.mutable_cell(0, 0);
-  c0.add_candidate({Value(std::string("fix\0a", 5)), 0.75, 0});
-  c0.add_candidate({Value(std::string("")), 0.25, 1});
-  Cell& c3 = t.mutable_cell(3, 2);
-  c3.add_candidate({Value(2000.0), 1.0, -1, CandidateKind::kLessThan});
+  t.SetCandidates(0, 0, {{Value(std::string("fix\0a", 5)), 0.75, 0},
+                         {Value(std::string("")), 0.25, 1}});
+  t.SetCandidates(3, 2, {{Value(2000.0), 1.0, -1, CandidateKind::kLessThan}});
   EXPECT_TRUE(t.DeleteRows({4}).ok());
   return t;
 }
@@ -507,6 +506,61 @@ TEST(EnginePersistence, WarmRecoverySkipsRedetection) {
   EXPECT_EQ(report.detect_ops, 0u);
   EXPECT_EQ(report.errors_fixed, 0u);
   EXPECT_TRUE(report.read_path);
+}
+
+uint64_t CounterValue(const std::string& name) {
+  const MetricsRegistry::Snapshot snap =
+      MetricsRegistry::Global().TakeSnapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(EnginePersistence, ServingNeverRebuildsColumnCache) {
+  // Repairs write candidates only, so after Prepare no column projection
+  // is ever rebuilt: FD and DC repairs flip probabilistic bits in place,
+  // appends extend, deletes leave the cache alone, and recovery builds
+  // fresh caches for the restored tables (first builds, not rebuilds).
+  TempDir dir;
+  Database db;
+  ASSERT_TRUE(db.AddTable(SeedEmpTable()).ok());
+  DaisyEngine engine(&db, EmpRules());
+  ASSERT_TRUE(engine.Prepare().ok());
+  const uint64_t rebuilds = CounterValue("daisy_storage_column_rebuilds_total");
+  const uint64_t extends = CounterValue("daisy_storage_column_extends_total");
+  ASSERT_TRUE(engine.EnablePersistence(dir.Sub("state")).ok());
+
+  size_t fixed = 0;
+  auto query = [&](DaisyEngine* e, const std::string& sql) {
+    Result<QueryReport> report = e->Query(sql);
+    ASSERT_TRUE(report.ok()) << sql << ": " << report.status();
+    fixed += report.value().errors_fixed;
+  };
+  query(&engine, "SELECT * FROM emp WHERE zip == 0");
+  query(&engine, "SELECT city FROM emp WHERE salary > 1500");
+  ASSERT_TRUE(engine
+                  .AppendRows("emp", {{Value(2), Value("SF"), Value(99000.0),
+                                       Value(0.1)},
+                                      {Value(1), Value("SF"), Value(500.0),
+                                       Value(0.9)}})
+                  .ok());
+  query(&engine, "SELECT * FROM emp WHERE tax > 0.5");
+  ASSERT_TRUE(engine.DeleteRows("emp", {13}).ok());
+  query(&engine, "SELECT zip, COUNT(*) FROM emp GROUP BY zip");
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  ASSERT_TRUE(engine
+                  .AppendRows("emp", {{Value(0), Value("NY"), Value(77000.0),
+                                       Value(0.8)}})
+                  .ok());
+  query(&engine, "SELECT city FROM emp WHERE zip == 2");
+  ASSERT_TRUE(engine.CleanAllRemaining().ok());
+
+  Database rec_db;
+  auto recovered = DaisyEngine::Open(dir.Sub("state"), &rec_db).ValueOrDie();
+  query(recovered.get(), "SELECT * FROM emp WHERE salary > 1200");
+
+  EXPECT_GT(fixed, 0u);  // the stream really repaired cells
+  EXPECT_GT(CounterValue("daisy_storage_column_extends_total"), extends);
+  EXPECT_EQ(CounterValue("daisy_storage_column_rebuilds_total"), rebuilds);
 }
 
 TEST(EnginePersistence, EnableRefusesExistingStateDir) {

@@ -42,22 +42,23 @@ Table MakeMessyTable(uint64_t seed, size_t rows) {
   // Candidate-carrying cells: points and open ranges.
   for (size_t i = 0; i < rows; ++i) {
     if (rng.Bernoulli(0.15)) {
-      Cell& c = t.mutable_cell(i, 0);
-      c.add_candidate({Value(rng.UniformInt(0, 20)), 0.5, 0,
-                       CandidateKind::kPoint});
-      c.add_candidate({Value(rng.UniformInt(0, 20)), 0.5, 1,
-                       CandidateKind::kPoint});
+      // Braced lists evaluate left to right: the draw order is fixed.
+      t.SetCandidates(
+          i, 0,
+          {{Value(rng.UniformInt(0, 20)), 0.5, 0, CandidateKind::kPoint},
+           {Value(rng.UniformInt(0, 20)), 0.5, 1, CandidateKind::kPoint}});
     }
     if (rng.Bernoulli(0.1)) {
-      t.mutable_cell(i, 2).add_candidate(
-          {Value(rng.UniformDouble(0, 10)), 1.0, 0,
-           rng.Bernoulli(0.5) ? CandidateKind::kLessEq
-                              : CandidateKind::kGreaterThan});
+      t.SetCandidates(i, 2,
+                      {{Value(rng.UniformDouble(0, 10)), 1.0, 0,
+                        rng.Bernoulli(0.5) ? CandidateKind::kLessEq
+                                           : CandidateKind::kGreaterThan}});
     }
     if (rng.Bernoulli(0.1)) {
-      t.mutable_cell(i, 3).add_candidate(
-          {Value("s" + std::to_string(rng.UniformInt(0, 9))), 1.0, 0,
-           CandidateKind::kPoint});
+      t.SetCandidates(
+          i, 3,
+          {{Value("s" + std::to_string(rng.UniformInt(0, 9))), 1.0, 0,
+            CandidateKind::kPoint}});
     }
   }
   return t;
@@ -219,19 +220,19 @@ Table MakeJoinTable(Rng* rng, const std::string& name) {
   }
   for (RowId r = 0; r < t.num_rows(); ++r) {
     for (size_t c = 0; c < 2; ++c) {
+      std::vector<Candidate> cands;
       if (rng->Bernoulli(0.2)) {
-        Cell& cell = t.mutable_cell(r, c);
-        cell.add_candidate(
+        cands.push_back(
             {Value(rng->UniformInt(0, 4)), 0.5, 0, CandidateKind::kPoint});
-        cell.add_candidate(
+        cands.push_back(
             {Value(rng->UniformInt(0, 4)), 0.5, 1, CandidateKind::kPoint});
       }
       if (rng->Bernoulli(0.12)) {
-        t.mutable_cell(r, c).add_candidate(
-            {Value(rng->UniformInt(0, 4)), 0.5, 2,
-             rng->Bernoulli(0.5) ? CandidateKind::kLessEq
-                                 : CandidateKind::kGreaterThan});
+        cands.push_back({Value(rng->UniformInt(0, 4)), 0.5, 2,
+                         rng->Bernoulli(0.5) ? CandidateKind::kLessEq
+                                             : CandidateKind::kGreaterThan});
       }
+      if (!cands.empty()) t.SetCandidates(r, c, std::move(cands));
     }
   }
   return t;

@@ -284,12 +284,14 @@ TEST(CellPropertyTest, MayEqualConsistentWithPossibleValues) {
   Rng rng(51);
   for (int trial = 0; trial < 50; ++trial) {
     Cell cell(Value(rng.UniformInt(0, 20)));
-    const int cands = static_cast<int>(rng.UniformInt(0, 4));
-    for (int i = 0; i < cands; ++i) {
-      cell.add_candidate({Value(rng.UniformInt(0, 20)), 1.0, 0,
-                          CandidateKind::kPoint});
+    const int width = static_cast<int>(rng.UniformInt(0, 4));
+    std::vector<Candidate> cands;
+    for (int i = 0; i < width; ++i) {
+      cands.push_back({Value(rng.UniformInt(0, 20)), 1.0, 0,
+                       CandidateKind::kPoint});
     }
-    cell.Normalize();
+    NormalizeCandidates(&cands);
+    cell.set_candidates(std::move(cands));
     for (const Value& v : cell.PossibleValues()) {
       EXPECT_TRUE(cell.MayEqual(v));
       EXPECT_TRUE(cell.MayBeInRange(v, v));

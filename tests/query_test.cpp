@@ -217,10 +217,8 @@ TEST(ExecutorTest, ProbabilisticJoinKeyOverlap) {
   Database db = MakeJoinDb();
   Table* emp = db.GetTable("emp").ValueOrDie();
   // ann's dept becomes {1 or 2}: she must now match both departments.
-  emp->mutable_cell(0, 1).add_candidate({Value(1), 0.5, 0,
-                                         CandidateKind::kPoint});
-  emp->mutable_cell(0, 1).add_candidate({Value(2), 0.5, 1,
-                                         CandidateKind::kPoint});
+  emp->SetCandidates(0, 1, {{Value(1), 0.5, 0, CandidateKind::kPoint},
+                            {Value(2), 0.5, 1, CandidateKind::kPoint}});
   auto out = RunSql(&db,
                     "SELECT emp.name, dept.dept_name FROM emp, dept "
                     "WHERE emp.dept_id = dept.id")
@@ -306,10 +304,8 @@ TEST(ExecutorTest, StarExpansionQualifiesOnJoin) {
 TEST(ExecutorTest, ProbabilisticCellsSurviveProjection) {
   Database db = MakeJoinDb();
   Table* emp = db.GetTable("emp").ValueOrDie();
-  emp->mutable_cell(0, 2).add_candidate({Value(100.0), 0.5, 0,
-                                         CandidateKind::kPoint});
-  emp->mutable_cell(0, 2).add_candidate({Value(500.0), 0.5, 1,
-                                         CandidateKind::kPoint});
+  emp->SetCandidates(0, 2, {{Value(100.0), 0.5, 0, CandidateKind::kPoint},
+                            {Value(500.0), 0.5, 1, CandidateKind::kPoint}});
   // May-semantics: ann qualifies for salary > 400 through the candidate.
   auto out =
       RunSql(&db, "SELECT name, salary FROM emp WHERE salary > 400")

@@ -2,7 +2,8 @@
 // over a unix socket. Covers the handshake, result streaming, per-query
 // limits (timeout / row limit / cancel-on-disconnect), durable acked
 // writes through the group-commit WAL, statement-level error recovery,
-// the bounded-accept-queue admission gate, and version negotiation.
+// the bounded-accept-queue admission gate, version negotiation, and
+// Start/Stop cycling.
 //
 // The multi-process variant (real daisyd binary, SIGKILL, warm recovery)
 // lives in server_smoke_test.cpp.
@@ -13,6 +14,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -324,6 +328,36 @@ TEST_F(ServerTest, StopCutsInFlightSessions) {
   // an I/O error instead of hanging.
   auto result = client.value()->Query("SELECT k FROM plain");
   EXPECT_FALSE(result.ok());
+}
+
+TEST_F(ServerTest, StartStopCyclesNeverHang) {
+  // Regression for a lost wake-up: Stop once set its flag without the
+  // queue mutex the idle workers wait under, so a worker between its
+  // predicate check and its Wait missed the notification and Stop blocked
+  // forever joining it. Start and at once Stop, with no client, many
+  // times; a Stop that misses its deadline fails the test instead of
+  // stalling the suite (the stuck server cannot be torn down, so the
+  // process exits).
+  ServerOptions options;
+  options.worker_threads = 16;  // more idle waiters per Stop
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    StartServer(options);
+    ASSERT_FALSE(HasFatalFailure()) << "cycle " << cycle;
+    std::promise<void> stopped;
+    std::future<void> done = stopped.get_future();
+    std::thread stopper([&] {
+      server_->Stop();
+      stopped.set_value();
+    });
+    if (done.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "DaisyServer::Stop hung on cycle " << cycle;
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+    stopper.join();
+    server_.reset();
+  }
 }
 
 }  // namespace

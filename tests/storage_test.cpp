@@ -56,9 +56,10 @@ TEST(CellTest, CleanCellBasics) {
 
 TEST(CellTest, NormalizeAndMostProbable) {
   Cell c(Value("SF"));
-  c.add_candidate({Value("LA"), 2.0, 0, CandidateKind::kPoint});
-  c.add_candidate({Value("SF"), 1.0, 0, CandidateKind::kPoint});
-  c.Normalize();
+  std::vector<Candidate> cands = {{Value("LA"), 2.0, 0, CandidateKind::kPoint},
+                                  {Value("SF"), 1.0, 0, CandidateKind::kPoint}};
+  NormalizeCandidates(&cands);
+  c.set_candidates(std::move(cands));
   ASSERT_TRUE(c.is_probabilistic());
   EXPECT_EQ(c.width(), 2u);
   EXPECT_NEAR(c.candidates()[0].prob, 2.0 / 3.0, 1e-12);
@@ -153,10 +154,8 @@ TEST(TableTest, ProbabilisticCounters) {
   ASSERT_TRUE(t.AppendRow({Value(2), Value("b")}).ok());
   EXPECT_EQ(t.CountProbabilisticCells(), 0u);
   EXPECT_EQ(t.TotalCandidateWidth(), 4u);
-  t.mutable_cell(0, 1).add_candidate({Value("c"), 0.5, 0,
-                                      CandidateKind::kPoint});
-  t.mutable_cell(0, 1).add_candidate({Value("a"), 0.5, 0,
-                                      CandidateKind::kPoint});
+  t.SetCandidates(0, 1, {{Value("c"), 0.5, 0, CandidateKind::kPoint},
+                         {Value("a"), 0.5, 0, CandidateKind::kPoint}});
   EXPECT_EQ(t.CountProbabilisticCells(), 1u);
   EXPECT_EQ(t.TotalCandidateWidth(), 5u);
   t.ResetToOriginal();
