@@ -36,6 +36,13 @@ Rules (each scoped to the directories where the invariant applies):
               column's content version and forces a full rebuild, so it
               is reserved for data generators editing originals.
 
+  row-oracle  [src/, tools/]   No ``ViolatedBy(`` / ``RowMaySatisfy(``
+              calls outside src/constraints/denial_constraint.{h,cc}.
+              libdaisy evaluates predicates and DC pair checks only on the
+              ColumnCache projections; row-at-a-time evaluation is the
+              rule's definition and otherwise belongs in the test oracles
+              (tests/*_oracle.h).
+
   test-nondet [tests/]         No nondeterminism sources on test golden
               paths: ``std::random_device``, ``srand``/``rand``,
               ``time(nullptr)``. Tests seed their PRNGs with constants so
@@ -70,6 +77,10 @@ MUTABLE_CELL_EXEMPT = {
     "src/storage/table.cc",
 }
 MUTABLE_CELL_EXEMPT_DIRS = ("src/datagen/",)  # original-value perturbation
+ROW_ORACLE_EXEMPT = {
+    "src/constraints/denial_constraint.h",  # ViolatedBy: the rule itself
+    "src/constraints/denial_constraint.cc",
+}
 RAW_THREAD_EXEMPT = {
     "src/common/mutex.h",
     "src/common/thread_annotations.h",
@@ -151,6 +162,16 @@ RULES = [
             (re.compile(r"\bmutable_(cell|row)\s*\("),
              "candidate writes go through Table::SetCandidates; original "
              "edits belong to datagen"),
+        ],
+    },
+    {
+        "name": "row-oracle",
+        "dirs": ("src", "tools"),
+        "exempt": ROW_ORACLE_EXEMPT,
+        "patterns": [
+            (re.compile(r"\b(ViolatedBy|RowMaySatisfy)\s*\("),
+             "row-at-a-time evaluation; use the compiled ColumnCache "
+             "paths (row evaluators belong in tests/*_oracle.h)"),
         ],
     },
     {

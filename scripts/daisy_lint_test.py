@@ -105,6 +105,22 @@ FIXTURES = [
      "// never mutable_cell(r, c) here\nint x;\n", 0),
     ("mutable_cell not scoped to tests", "tests/m_test.cpp",
      "void F(Table* t) { t->mutable_cell(0, 0) = Cell(Value(1)); }\n", 0),
+    # --- row-oracle ---
+    ("ViolatedBy pair check flagged in src", "src/detect/theta_join.cc",
+     "bool F(const DenialConstraint& dc, const Table& t) {\n"
+     "  return dc.ViolatedBy(t, 0, 1);\n}\n", 1),
+    ("RowMaySatisfy flagged in src", "src/plan/plan_node.cc",
+     "auto ok = RowMaySatisfy(*table_, r, *expr_);\n", 1),
+    ("ViolatedBy flagged in tools", "tools/r_main.cc",
+     "bool b = dc->ViolatedBy (t, a, b);\n", 1),
+    ("denial_constraint defines the rule",
+     "src/constraints/denial_constraint.cc",
+     "bool DenialConstraint::ViolatedBy(const Table& t, RowId a, RowId b) "
+     "const {\n  return false;\n}\n", 0),
+    ("row-oracle in comment ignored", "src/x/r.cc",
+     "// per-cell ViolatedBy(t, a, b) used to live here\nint x;\n", 0),
+    ("row-oracle not scoped to tests", "tests/eval_oracle.h",
+     "inline bool F() { return dc.ViolatedBy(t, 0, 1); }\n", 0),
     # --- test-nondet ---
     ("random_device flagged in tests", "tests/b_test.cpp",
      "#include <random>\nstd::random_device rd;\n", 1),

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "query/eval.h"
+#include "plan/compiled_filter.h"
 #include "relax/relaxation.h"
 #include "repair/dc_repair.h"
 #include "repair/fd_repair.h"

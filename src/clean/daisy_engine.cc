@@ -101,7 +101,6 @@ bool ApplyThreadCountEnv(const char* var, size_t* count) {
 
 void ApplyEnvOverrides(DaisyOptions* options) {
   bool fired = false;
-  fired |= ApplyBoolEnv("DAISY_COLUMNAR_FILTERS", &options->columnar_filters);
   fired |= ApplyBoolEnv("DAISY_OPTIMIZER", &options->optimizer);
   fired |= ApplyBoolEnv("DAISY_GROUP_COMMIT", &options->group_commit);
   fired |= ApplyThreadCountEnv("DAISY_DETECT_THREADS",
@@ -114,9 +113,9 @@ void ApplyEnvOverrides(DaisyOptions* options) {
   if (fired) {
     static const bool announced = [] {
       LogInfo("engine",
-              "DAISY_COLUMNAR_FILTERS/DAISY_OPTIMIZER/DAISY_GROUP_COMMIT/"
-              "DAISY_DETECT_THREADS/DAISY_QUERY_THREADS set: overriding "
-              "DaisyOptions (CI ablation hook)");
+              "DAISY_OPTIMIZER/DAISY_GROUP_COMMIT/DAISY_DETECT_THREADS/"
+              "DAISY_QUERY_THREADS set: overriding DaisyOptions (CI ablation "
+              "hook)");
       return true;
     }();
     (void)announced;
@@ -336,7 +335,6 @@ Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
     return Status::Internal("DaisyEngine::Prepare() must be called first");
   }
   Planner planner(db_);
-  planner.set_columnar_filters(options_.columnar_filters);
   planner.set_optimizer(options_.optimizer);
   DAISY_ASSIGN_OR_RETURN(Plan plan,
                          planner.PlanQuery(stmt, plan_context_.get()));

@@ -58,9 +58,6 @@ struct DaisyOptions {
   size_t detect_threads = 1;
   bool use_statistics_pruning = true;
   bool theta_pruning = true;
-  /// Compile plan Filter predicates against the ColumnCache typed arrays
-  /// (ablation switch; the row-path evaluator is the fallback).
-  bool columnar_filters = true;
   /// Cost-based optimizer pass (src/plan/optimizer.h): DP join ordering
   /// and cleanσ placement between Planner lowering and execution. Off =
   /// the syntactic left-deep plan. Outputs
@@ -85,15 +82,14 @@ struct DaisyOptions {
   uint32_t recover_backoff_max_ms = 10000;
 };
 
-/// CI ablation hooks: when the environment variables DAISY_COLUMNAR_FILTERS
-/// ("0"/"1"/"true"/"false"), DAISY_OPTIMIZER (likewise), DAISY_GROUP_COMMIT
-/// (likewise), DAISY_DETECT_THREADS, or DAISY_QUERY_THREADS (positive
-/// integers) are set, they override the corresponding fields so the whole
-/// test suite can run with a non-default configuration (see the ablation leg
-/// in .github/workflows). A no-op when no variable is set. Malformed values
-/// are rejected with a structured-log warning naming the variable and the
-/// bad value;
-/// the option keeps its previous setting. Applied by the DaisyEngine
+/// CI ablation hooks: when the environment variables DAISY_OPTIMIZER
+/// ("0"/"1"/"true"/"false"), DAISY_GROUP_COMMIT (likewise),
+/// DAISY_DETECT_THREADS, or DAISY_QUERY_THREADS (positive integers) are set,
+/// they override the corresponding fields so the whole test suite can run
+/// with a non-default configuration (see the ablation leg in
+/// .github/workflows). A no-op when no variable is set. Malformed values are
+/// rejected with a structured-log warning naming the variable and the bad
+/// value; the option keeps its previous setting. Applied by the DaisyEngine
 /// constructor.
 void ApplyEnvOverrides(DaisyOptions* options);
 
@@ -301,7 +297,7 @@ class DaisyEngine {
   /// restarting. The semantics-affecting options (mode, accuracy
   /// threshold, partitions, pruning switches) are adopted from the
   /// snapshot so the replay runs under the config that produced the log;
-  /// only `options`' perf knobs (thread counts, columnar ablation) take
+  /// only `options`' perf knobs (thread counts, group commit) take
   /// effect.
   /// Open also sweeps orphaned `*.tmp` files (leftovers of an atomic
   /// write that crashed before its rename) from the directory. All file

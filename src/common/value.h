@@ -75,6 +75,18 @@ class Value {
     return is_int() ? static_cast<double>(as_int()) : as_double_raw();
   }
 
+  /// False only for an int64 that AsDouble() rounds (|v| > 2^53 with low
+  /// bits set). Comparisons of exact values on their double projections
+  /// agree with Compare; flat-array evaluators fall back to Value
+  /// semantics otherwise.
+  bool ExactAsDouble() const {
+    if (!is_int()) return true;
+    // 2^63 itself is out of int64 range, so the round trip is only
+    // defined strictly below it.
+    const double d = AsDouble();
+    return d < 9223372036854775808.0 && static_cast<int64_t>(d) == as_int();
+  }
+
   /// Strict equality: same type class (numerics unify) and same content.
   bool Equals(const Value& other) const;
 

@@ -279,9 +279,12 @@ void ThetaJoinDetector::CompileAtoms(ColumnCache& cache) {
       ca.check_nulls = left.has_nulls;
       if (a.constant.is_null()) {
         ca.kind = CompiledAtom::Kind::kNullConst;
-      } else if (left.numeric_only && a.constant.is_numeric()) {
+      } else if (left.numeric_only && left.num_exact &&
+                 a.constant.is_numeric() && a.constant.ExactAsDouble()) {
         ca.kind = CompiledAtom::Kind::kNumConst;
         ca.cnum = a.constant.AsDouble();
+      } else if (!left.RanksExactFor(a.constant)) {
+        ca.kind = CompiledAtom::Kind::kRow;
       } else {
         // Locate the constant in the column's rank domain: clo = #distinct
         // column values ordering strictly below it (Value::Compare, the
@@ -300,13 +303,14 @@ void ThetaJoinDetector::CompileAtoms(ColumnCache& cache) {
       ca.rnulls = right.nulls.data();
       ca.rranks = right.ranks.data();
       ca.check_nulls = left.has_nulls || right.has_nulls;
-      if (a.left_column == a.right_column) {
+      if (a.left_column == a.right_column && left.RanksExact()) {
         ca.kind = CompiledAtom::Kind::kRank;
-      } else if (left.numeric_only && right.numeric_only) {
+      } else if (left.numeric_only && right.numeric_only && left.num_exact &&
+                 right.num_exact) {
         ca.kind = CompiledAtom::Kind::kNum;
       } else {
-        // Two different columns, at least one non-numeric: per-column ranks
-        // are not comparable across columns — keep Value semantics.
+        // Ranks of two different columns are not comparable, and neither
+        // are doubles that round int64s — keep Value semantics.
         ca.kind = CompiledAtom::Kind::kRow;
       }
     }
@@ -383,9 +387,6 @@ bool ThetaJoinDetector::EvalAtomFlat(const CompiledAtom& atom, RowId a,
 // pairwise a == b short-circuit of DenialConstraint::ViolatedBy is not
 // re-checked here.
 std::pair<bool, bool> ThetaJoinDetector::CheckBoth(RowId a, RowId b) const {
-  if (!columnar_enabled_) {
-    return {dc_->ViolatedBy(*table_, a, b), dc_->ViolatedBy(*table_, b, a)};
-  }
   const CompiledAtom* const atoms = compiled_.data();
   const size_t n = compiled_.size();
   bool fwd = true;
@@ -415,17 +416,33 @@ bool ThetaJoinDetector::OrientationFeasible(
   for (const PredicateAtom& a : dc_->atoms()) {
     const PartitionStats& lp = a.left_tuple == 0 ? t1_part : t2_part;
     const size_t ls = slot(a.left_column);
+    bool numeric = cols_[ls]->numeric_only;
+    bool exact = cols_[ls]->num_exact;
     double rmin, rmax;
     if (a.right_is_constant) {
       const double c = ColumnCache::NumericCoord(a.constant);
       rmin = rmax = c;
+      numeric = numeric && a.constant.is_numeric();
+      exact = exact && a.constant.ExactAsDouble();
     } else {
       const PartitionStats& rp = a.right_tuple == 0 ? t1_part : t2_part;
       const size_t rs = slot(a.right_column);
       rmin = rp.min_val[rs];
       rmax = rp.max_val[rs];
+      numeric = numeric && cols_[rs]->numeric_only;
+      exact = exact && cols_[rs]->num_exact;
     }
-    if (!RangeFeasible(lp.min_val[ls], lp.max_val[ls], a.op, rmin, rmax)) {
+    // Equal values always share a coordinate, so equality prunes on any
+    // column. Hash coordinates of strings carry no order, and rounded
+    // int64s may share a double: there only the non-strict half of an
+    // order comparison survives the projection.
+    CompareOp op = a.op;
+    if (op != CompareOp::kEq && (!numeric || !exact)) {
+      if (!numeric || op == CompareOp::kNeq) continue;
+      if (op == CompareOp::kLt) op = CompareOp::kLeq;
+      if (op == CompareOp::kGt) op = CompareOp::kGeq;
+    }
+    if (!RangeFeasible(lp.min_val[ls], lp.max_val[ls], op, rmin, rmax)) {
       return false;
     }
   }
@@ -545,32 +562,6 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
       answer.min_val[c] = std::min(answer.min_val[c], v);
       answer.max_val[c] = std::max(answer.max_val[c], v);
     }
-  }
-
-  if (!columnar_enabled_) {
-    // Ablation: the pre-columnar scan — per-pair checked tests, per-pair
-    // unordered-pair dedup, per-cell Value dispatch via ViolatedBy.
-    for (const PartitionStats& part : boundaries_) {
-      if (pruning_enabled_ && !PairFeasible(answer, part)) {
-        ++partitions_pruned_;
-        continue;
-      }
-      for (size_t s = part.begin; s < part.end; ++s) {
-        const RowId u = sorted_[s];
-        for (RowId r : result_rows) {
-          if (r == u) continue;
-          if (checked_[r] || checked_[u]) continue;
-          if (u < r && std::binary_search(result_rows.begin(),
-                                          result_rows.end(), u)) {
-            continue;
-          }
-          CheckPair(r, u, &out, &pairs_checked_);
-        }
-      }
-    }
-    for (RowId r : result_rows) MarkRowChecked(r);
-    MergeIntoMaintained(out);
-    return out;
   }
 
   // Hot-loop invariants: result rows already checked never produce new

@@ -19,11 +19,15 @@
 // Execution is columnar: partitions, pruning statistics, and pair checks
 // all read the table's ColumnCache flat arrays instead of dispatching on
 // Value variants per cell. DC atoms are compiled once per partition build:
-// numeric-only columns compare as doubles, same-column atoms compare dense
-// Value::Compare ranks (exact for strings and for int64 beyond double
-// precision), and only atoms relating two different string-bearing columns
-// fall back to per-cell Value evaluation. Double comparisons on mixed
-// int/double columns match Value semantics for |v| < 2^53.
+// numeric-only columns whose values all survive the double projection
+// (ColumnCache::Column::num_exact) compare as doubles, same-column and
+// constant atoms compare dense Value::Compare ranks (exact for strings and
+// for int64 beyond double precision, unless rounded int64s meet doubles),
+// and the rest — two different string-bearing or rounded columns — falls
+// back to per-cell Value evaluation: every pair check agrees with
+// DenialConstraint::ViolatedBy.
+// Partition pruning reads the same projections and stays conservative:
+// order atoms prune only on numeric slots, strictly only on exact ones.
 //
 // The cache's content generations are checked on every public entry: an
 // edit of an original value invalidates the affected column projection,
@@ -204,10 +208,6 @@ class ThetaJoinDetector {
     if (pruning_enabled_ != enabled) pruning_enabled_ = enabled;
   }
 
-  /// Ablation switch: evaluate pairs through per-cell Value dispatch
-  /// (DenialConstraint::ViolatedBy) instead of the compiled flat arrays.
-  void set_columnar_enabled(bool enabled) { columnar_enabled_ = enabled; }
-
   /// DetectAll worker-pool size; clamped to at least 1.
   void set_threads(size_t threads) { threads_ = threads == 0 ? 1 : threads; }
 
@@ -238,9 +238,9 @@ class ThetaJoinDetector {
   /// representation that reproduces EvalCompare exactly (see file comment).
   struct CompiledAtom {
     enum class Kind {
-      kNum,        ///< column vs column, both numeric-only: doubles
+      kNum,        ///< column vs column, both exact numeric: doubles
       kRank,       ///< column vs same column: dense Compare ranks
-      kNumConst,   ///< numeric-only column vs numeric constant
+      kNumConst,   ///< exact numeric column vs exact numeric constant
       kRankConst,  ///< column vs constant located in the rank domain
       kNullConst,  ///< column vs null constant
       kRow,        ///< fallback: per-cell Value evaluation
@@ -303,7 +303,6 @@ class ThetaJoinDetector {
   size_t requested_partitions_;
   size_t threads_ = 1;
   bool pruning_enabled_ = true;
-  bool columnar_enabled_ = true;
 
   size_t sort_column_ = 0;             ///< primary inequality attribute
   size_t sort_slot_ = 0;               ///< its slot in involved_columns()

@@ -421,7 +421,7 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
   // The semantics-affecting options travel with the state: replaying the
   // WAL under a different mode/threshold/pruning config would diverge
   // from the engine that wrote it. The caller's perf knobs (thread
-  // counts, columnar ablation) are kept — results are deterministic
+  // counts, group commit) are kept — results are deterministic
   // across those by contract.
   options.mode = snap.options.mode == 0 ? DaisyOptions::Mode::kIncremental
                                         : DaisyOptions::Mode::kAdaptive;

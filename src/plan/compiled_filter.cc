@@ -41,6 +41,10 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
       node.lkind = LeafKind::kConstNull;
       return node;
     }
+    if (!left.RanksExactFor(node.rhs_val)) {
+      node.lkind = LeafKind::kRowFallback;
+      return node;
+    }
     node.lkind = LeafKind::kConstRank;
     const std::vector<Value>& sorted = left.sorted_distinct;
     auto it = std::lower_bound(
@@ -61,12 +65,13 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
   node.rprob = &right.probs;
   if (node.left_col == node.right_col) {
     node.lkind = LeafKind::kSameColRank;
-  } else if (left.numeric_only && right.numeric_only) {
+  } else if (left.numeric_only && right.numeric_only && left.num_exact &&
+             right.num_exact) {
     node.lkind = LeafKind::kNumericCols;
   } else {
-    // Cross-column comparison with strings involved: ranks come from
-    // different dictionaries and are not comparable — mirror the theta-join
-    // detector's row fallback.
+    // Cross-column comparison with strings or rounded int64s involved:
+    // ranks come from different dictionaries and are not comparable —
+    // mirror the theta-join detector's row fallback.
     node.lkind = LeafKind::kRowFallback;
   }
   return node;
@@ -163,5 +168,18 @@ bool CompiledFilter::EvalNode(const Node& node, RowId r) const {
 }
 
 bool CompiledFilter::Matches(RowId r) const { return EvalNode(root_, r); }
+
+Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
+                                      const std::vector<RowId>& input) {
+  if (expr == nullptr || input.empty()) return input;
+  DAISY_ASSIGN_OR_RETURN(CompiledFilter filter,
+                         CompiledFilter::Compile(table, *expr));
+  std::vector<RowId> out;
+  out.reserve(input.size());
+  for (RowId r : input) {
+    if (filter.Matches(r)) out.push_back(r);
+  }
+  return out;
+}
 
 }  // namespace daisy

@@ -6,14 +6,17 @@
 //
 //  * column-vs-constant leaves binary-search the constant once into the
 //    column's sorted distinct values and then compare dense Compare ranks —
-//    exact for every value type (strings, int64 beyond double precision);
+//    exact for every value type (strings, int64 beyond double precision)
+//    unless a rounded int64 meets a double (ColumnCache::Column::
+//    RanksExactFor), which keeps the per-row cell fallback;
 //    EvalCompare's null semantics are precomputed into a per-leaf constant
 //    and re-applied through the null mask.
 //  * column-vs-same-column leaves compare ranks directly (one dictionary).
 //  * cross-column leaves on numeric-only columns compare the flat double
-//    projections (matching Value semantics for |v| < 2^53, the same caveat
-//    the theta-join detector documents); anything involving strings keeps a
-//    per-row cell fallback.
+//    projections when both columns are ColumnCache::Column::num_exact (so
+//    the doubles order exactly like Value::Compare); anything involving
+//    strings or int64s beyond double precision keeps a per-row cell
+//    fallback.
 //
 // Cells that carry repair candidates cannot be answered from the projected
 // originals, so those rows fall back to the exact CellMaySatisfy/
@@ -38,14 +41,14 @@ namespace daisy {
 
 class CompiledFilter {
  public:
-  /// Compiles `expr` against `table`'s column cache. Fails with the same
-  /// resolution errors the row-path evaluator reports for unknown or
-  /// foreign-qualified columns. `table` must outlive the filter; the
-  /// compiled arrays stay valid until the next table mutation.
+  /// Compiles `expr` against `table`'s column cache. Fails with NotFound
+  /// for unknown or foreign-qualified columns. `table` must outlive the
+  /// filter; the compiled arrays stay valid until the next table mutation.
   static Result<CompiledFilter> Compile(const Table& table, const Expr& expr);
 
-  /// True iff row `r` may satisfy the predicate — bit-identical to
-  /// RowMaySatisfy on a successfully compiled expression.
+  /// True iff row `r` may satisfy the predicate under possible semantics:
+  /// some candidate of every touched cell satisfies its leaf, with kAnd
+  /// requiring all children and kOr any (see query/eval.h).
   bool Matches(RowId r) const;
 
  private:
@@ -53,8 +56,8 @@ class CompiledFilter {
     kConstRank,   ///< col op non-null constant, via dense ranks
     kConstNull,   ///< col op null constant, via null mask only
     kSameColRank, ///< col op same col, via ranks
-    kNumericCols, ///< col op other numeric-only col, via double projections
-    kRowFallback, ///< per-cell evaluation (strings across columns)
+    kNumericCols, ///< col op other exact numeric col, via doubles
+    kRowFallback, ///< per-cell evaluation (strings / rounded int64s)
   };
 
   struct Node {
@@ -91,6 +94,11 @@ class CompiledFilter {
   const Table* table_ = nullptr;
   Node root_;
 };
+
+/// Filters `input` rows of `table` by `expr` through a CompiledFilter (null
+/// expr or empty input returns `input` unchanged without compiling).
+Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
+                                      const std::vector<RowId>& input);
 
 }  // namespace daisy
 

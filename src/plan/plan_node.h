@@ -251,12 +251,10 @@ class ScanNode : public RowSetNode {
 };
 
 /// Predicate filter over its child's batches. Compiles the expression
-/// against the table's ColumnCache typed arrays when `columnar` is on; the
-/// row-path evaluator is kept as an ablation fallback (mirroring
-/// ThetaJoinDetector::set_columnar_enabled).
+/// against the table's ColumnCache typed arrays at every Open.
 class FilterNode : public RowSetNode {
  public:
-  FilterNode(const Table* table, const Expr* expr, bool columnar,
+  FilterNode(const Table* table, const Expr* expr,
              std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
@@ -273,12 +271,11 @@ class FilterNode : public RowSetNode {
   /// detect_threads pool pattern of theta_join.cc) and the per-morsel
   /// matches are concatenated in morsel order, so the materialized row
   /// stream is bit-identical to the serial scan. Taken at Open when the
-  /// filter compiled, the child is a Scan, and ctx->worker_threads > 1.
+  /// child is a Scan and ctx->worker_threads > 1.
   Status ParallelScan(ExecContext* ctx);
 
   const Table* table_;
   const Expr* expr_;  ///< owned by the Plan (SplitWhere)
-  bool columnar_;
   std::unique_ptr<CompiledFilter> compiled_;  ///< rebuilt per execution
   RowSetNode* child_rows_;
   bool parallel_ = false;            ///< morsel path taken this execution

@@ -1,5 +1,6 @@
 #include "query/ast.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace daisy {
@@ -31,6 +32,32 @@ std::string SelectItem::ToString() const {
   return out;
 }
 
+namespace {
+
+// A constant as the parser reads it back: strings quoted with embedded
+// quotes doubled, doubles in their shortest round-trip digits and always
+// with a '.' or exponent so they re-parse as doubles, not ints.
+std::string LiteralToString(const Value& v) {
+  if (v.is_string()) {
+    std::string out = "'";
+    for (char c : v.as_string()) {
+      out.push_back(c);
+      if (c == '\'') out.push_back('\'');
+    }
+    return out + "'";
+  }
+  if (!v.is_double()) return v.ToString();
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v.as_double_raw());
+  std::string out(buf, res.ptr);
+  if (out.find_first_not_of("-0123456789") == std::string::npos) {
+    out += ".0";
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string Expr::ToString() const {
   switch (kind) {
     case Kind::kCmp: {
@@ -38,10 +65,8 @@ std::string Expr::ToString() const {
       oss << left.ToString() << " " << CompareOpToString(op) << " ";
       if (right_is_column) {
         oss << right_col.ToString();
-      } else if (right_val.is_string()) {
-        oss << "'" << right_val.ToString() << "'";
       } else {
-        oss << right_val.ToString();
+        oss << LiteralToString(right_val);
       }
       return oss.str();
     }

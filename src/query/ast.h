@@ -57,6 +57,9 @@ struct Expr {
   ColumnRef right_col;
   Value right_val;
 
+  /// SQL text ParseQuery reads back into an equal tree (finite, non-null
+  /// constants): strings quote with '' escaping, doubles print their
+  /// shortest round-trip digits.
   std::string ToString() const;
 };
 

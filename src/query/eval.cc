@@ -102,62 +102,6 @@ bool CellsMayMatch(const Cell& a, CompareOp op, const Cell& b) {
   return false;
 }
 
-namespace {
-
-Result<size_t> ResolveLeafColumn(const Table& table, const ColumnRef& ref) {
-  if (!ref.table.empty() && ref.table != table.name()) {
-    return Status::NotFound("column " + ref.ToString() +
-                            " does not belong to table " + table.name());
-  }
-  return table.schema().ColumnIndex(ref.column);
-}
-
-}  // namespace
-
-Result<bool> RowMaySatisfy(const Table& table, RowId row, const Expr& expr) {
-  switch (expr.kind) {
-    case Expr::Kind::kCmp: {
-      DAISY_ASSIGN_OR_RETURN(size_t left_col,
-                             ResolveLeafColumn(table, expr.left));
-      if (expr.right_is_column) {
-        DAISY_ASSIGN_OR_RETURN(size_t right_col,
-                               ResolveLeafColumn(table, expr.right_col));
-        return CellsMayMatch(table.cell(row, left_col), expr.op,
-                             table.cell(row, right_col));
-      }
-      return CellMaySatisfy(table.cell(row, left_col), expr.op,
-                            expr.right_val);
-    }
-    case Expr::Kind::kAnd: {
-      for (const auto& child : expr.children) {
-        DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, row, *child));
-        if (!ok) return false;
-      }
-      return true;
-    }
-    case Expr::Kind::kOr: {
-      for (const auto& child : expr.children) {
-        DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, row, *child));
-        if (ok) return true;
-      }
-      return false;
-    }
-  }
-  return Status::Internal("unreachable expr kind");
-}
-
-Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
-                                      const std::vector<RowId>& input) {
-  if (expr == nullptr) return input;
-  std::vector<RowId> out;
-  out.reserve(input.size());
-  for (RowId r : input) {
-    DAISY_ASSIGN_OR_RETURN(bool ok, RowMaySatisfy(table, r, *expr));
-    if (ok) out.push_back(r);
-  }
-  return out;
-}
-
 void CollectExprColumns(const Expr& expr, const Table& table,
                         std::vector<size_t>* cols) {
   switch (expr.kind) {

@@ -1,10 +1,13 @@
-// Probabilistic predicate evaluation over cells and rows.
+// Probabilistic predicate evaluation over cells, plus WHERE-tree helpers.
 //
 // Query operators over the gradually-probabilistic dataset use *possible*
 // semantics: a tuple qualifies iff at least one candidate value of each
 // touched cell can satisfy the condition (Section 4: "query operators
 // output a tuple iff at least one candidate value qualifies"). Conjunctions
 // evaluate cell-wise, matching the attribute-level uncertainty model.
+// Whole predicates are evaluated by plan/compiled_filter.h, which answers
+// rows without candidates from the column cache and hands candidate-
+// carrying cells to the two per-cell functions below.
 
 #ifndef DAISY_QUERY_EVAL_H_
 #define DAISY_QUERY_EVAL_H_
@@ -25,15 +28,6 @@ bool CellMaySatisfy(const Cell& cell, CompareOp op, const Value& rhs);
 /// `va op vb`? Equality reduces to candidate-set overlap — the paper's
 /// probabilistic join-key semantics.
 bool CellsMayMatch(const Cell& a, CompareOp op, const Cell& b);
-
-/// Evaluates a WHERE expression over one row of `table`. Every column leaf
-/// must resolve in the table's schema (the qualifier, if present, must be
-/// the table's name). kAnd = all children may hold; kOr = any.
-Result<bool> RowMaySatisfy(const Table& table, RowId row, const Expr& expr);
-
-/// Filters `input` rows of `table` by `expr` (null expr keeps everything).
-Result<std::vector<RowId>> FilterRows(const Table& table, const Expr* expr,
-                                      const std::vector<RowId>& input);
 
 /// Flattens top-level ANDs of a WHERE tree into conjuncts.
 std::vector<const Expr*> SplitConjuncts(const Expr* expr);

@@ -62,6 +62,24 @@ struct CodeOrder {
   }
 };
 
+// Appends one cell to the row-ordered projections, the dictionary and the
+// column-wide flags — the per-row step shared by Rebuild and Extend.
+void AppendProjection(const Cell& cell, ColumnCache::Column* col,
+                      std::unordered_map<Value, uint32_t, ValueHash>* index) {
+  const Value& v = cell.original();
+  col->probs.push_back(cell.is_probabilistic() ? 1 : 0);
+  col->nulls.push_back(v.is_null() ? 1 : 0);
+  if (v.is_null()) col->has_nulls = true;
+  if (!v.is_null() && !v.is_numeric()) col->numeric_only = false;
+  if (!v.ExactAsDouble()) col->num_exact = false;
+  if (v.is_double()) col->has_doubles = true;
+  col->num.push_back(ColumnCache::NumericCoord(v));
+  auto [it, inserted] =
+      index->emplace(v, static_cast<uint32_t>(col->dict.size()));
+  if (inserted) col->dict.push_back(v);
+  col->codes.push_back(it->second);
+}
+
 }  // namespace
 
 // Recomputes the dense rank relabeling (code -> rank, sorted_distinct,
@@ -115,17 +133,7 @@ void ColumnCache::Rebuild(size_t c) {
   std::unordered_map<Value, uint32_t, ValueHash> dict_index;
   dict_index.reserve(n);
   for (RowId r = 0; r < n; ++r) {
-    const Cell& cell = table_->cell(r, c);
-    const Value& v = cell.original();
-    fresh.probs.push_back(cell.is_probabilistic() ? 1 : 0);
-    fresh.nulls.push_back(v.is_null() ? 1 : 0);
-    if (v.is_null()) fresh.has_nulls = true;
-    if (!v.is_null() && !v.is_numeric()) fresh.numeric_only = false;
-    fresh.num.push_back(NumericCoord(v));
-    auto [it, inserted] =
-        dict_index.emplace(v, static_cast<uint32_t>(fresh.dict.size()));
-    if (inserted) fresh.dict.push_back(v);
-    fresh.codes.push_back(it->second);
+    AppendProjection(table_->cell(r, c), &fresh, &dict_index);
   }
 
   // Sorted index over the numeric projection, row id as tiebreak — the
@@ -167,17 +175,7 @@ void ColumnCache::Extend(size_t c) {
   const size_t old_n = slot.built_rows;
   const uint32_t old_distinct = static_cast<uint32_t>(col.dict.size());
   for (RowId r = old_n; r < n; ++r) {
-    const Cell& cell = table_->cell(r, c);
-    const Value& v = cell.original();
-    col.probs.push_back(cell.is_probabilistic() ? 1 : 0);
-    col.nulls.push_back(v.is_null() ? 1 : 0);
-    if (v.is_null()) col.has_nulls = true;
-    if (!v.is_null() && !v.is_numeric()) col.numeric_only = false;
-    col.num.push_back(NumericCoord(v));
-    auto [it, inserted] =
-        slot.dict_index.emplace(v, static_cast<uint32_t>(col.dict.size()));
-    if (inserted) col.dict.push_back(v);
-    col.codes.push_back(it->second);
+    AppendProjection(table_->cell(r, c), &col, &slot.dict_index);
   }
 
   if (col.dict.size() > old_distinct) {

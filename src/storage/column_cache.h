@@ -9,9 +9,10 @@
 //
 //  * `num`    — a flat double projection. Numerics widen to double; every
 //               other value maps onto the stable 1-D hash coordinate the
-//               theta-join detector has always used for partition pruning
-//               (Value::Hash() % 2^30), so partition boundaries and
-//               estimates are bit-identical to the row path.
+//               theta-join detector uses for partition pruning
+//               (Value::Hash() % 2^30). `num_exact` records whether every
+//               int64 survived the widening (|v| <= 2^53 or otherwise
+//               representable).
 //  * `codes`  — dictionary codes in first-appearance order, consistent with
 //               Value::Equals / Value::Hash (int 5 and double 5.0 share a
 //               code). Group-bys hash one uint32_t per row instead of a
@@ -95,6 +96,24 @@ class ColumnCache {
     std::vector<double> sorted_num;      ///< num aligned with sorted_rows
     bool numeric_only = true;  ///< every non-null value is numeric
     bool has_nulls = false;    ///< some value is null
+    /// Every value is Value::ExactAsDouble, so comparisons on `num` agree
+    /// with Value::Compare. Consumers comparing doubles must fall back to
+    /// ranks or per-cell evaluation when this is false.
+    bool num_exact = true;
+    bool has_doubles = false;  ///< some value is a double
+
+    /// Dense ranks order the column exactly like Value::Compare. Fails
+    /// only when a rounded int64 meets a double: Compare then ties
+    /// distinct values and stops being transitive.
+    bool RanksExact() const { return num_exact || !has_doubles; }
+    /// A constant located in `sorted_distinct` compares against ranks
+    /// exactly like EvalCompare against the column's values — the same
+    /// condition with `probe` counted as one more value.
+    bool RanksExactFor(const Value& probe) const {
+      if (probe.is_double()) return num_exact;
+      if (!probe.ExactAsDouble()) return !has_doubles;
+      return RanksExact();
+    }
     /// Advances on every rebuild (an original may have changed); extensions
     /// and candidate writes keep it, so detector coverage survives ingest
     /// batches and repairs.

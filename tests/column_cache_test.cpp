@@ -204,6 +204,8 @@ void ExpectSameColumn(const ColumnCache::Column& got,
   EXPECT_EQ(got.sorted_num, want.sorted_num) << where;
   EXPECT_EQ(got.numeric_only, want.numeric_only) << where;
   EXPECT_EQ(got.has_nulls, want.has_nulls) << where;
+  EXPECT_EQ(got.num_exact, want.num_exact) << where;
+  EXPECT_EQ(got.has_doubles, want.has_doubles) << where;
 }
 
 // One random value per column of DiffSchema(). Small domains so appends
@@ -347,6 +349,14 @@ TEST(ColumnCacheDifferentialTest, IncrementalMatchesFromScratch) {
         const std::string at = where + " col " + std::to_string(c);
         const ColumnCache::Column& got = cache.column(c);
         ExpectSameColumn(got, fresh.column(c), at);
+        bool exact = true, doubles = false;
+        for (RowId r = 0; r < copy.num_rows(); ++r) {
+          const Value& v = copy.cell(r, c).original();
+          exact = exact && v.ExactAsDouble();
+          doubles = doubles || v.is_double();
+        }
+        EXPECT_EQ(got.num_exact, exact) << at;
+        EXPECT_EQ(got.has_doubles, doubles) << at;
         if (data[c] == nullptr) continue;  // built by this step
         if (candidate_only) {
           EXPECT_EQ(got.generation, gens[c]) << at;

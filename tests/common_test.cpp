@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -89,6 +91,19 @@ TEST(ValueTest, Ordering) {
   EXPECT_LT(Value::Null(), Value(0));   // nulls order first
   EXPECT_LT(Value(999), Value("a"));    // numerics before strings
   EXPECT_EQ(Value("x").Compare(Value("x")), 0);
+}
+
+TEST(ValueTest, ExactAsDoubleFlagsRoundedInt64s) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  EXPECT_TRUE(Value(kTwo53).ExactAsDouble());
+  EXPECT_FALSE(Value(kTwo53 + 1).ExactAsDouble());
+  EXPECT_FALSE(Value(-kTwo53 - 1).ExactAsDouble());
+  EXPECT_TRUE(Value(kTwo53 * 2).ExactAsDouble());  // representable
+  EXPECT_TRUE(Value(std::numeric_limits<int64_t>::min()).ExactAsDouble());
+  EXPECT_FALSE(Value(std::numeric_limits<int64_t>::max()).ExactAsDouble());
+  EXPECT_TRUE(Value(0.1).ExactAsDouble());
+  EXPECT_TRUE(Value("x").ExactAsDouble());
+  EXPECT_TRUE(Value::Null().ExactAsDouble());
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {

@@ -1,5 +1,6 @@
 // Tests for violation detection: FD group-by detection and the partitioned
-// incremental theta-join, including property tests against brute force.
+// incremental theta-join, including property tests against the row-at-a-time
+// oracles of eval_oracle.h.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "detect/fd_detector.h"
 #include "detect/group_by.h"
 #include "detect/theta_join.h"
+#include "eval_oracle.h"
 
 namespace daisy {
 namespace {
@@ -102,35 +104,37 @@ TEST(FdDetectorTest, ScopeRestriction) {
   EXPECT_EQ(DetectFdViolations(t, dc, {0, 1}).size(), 1u);
 }
 
-// ------------------------------------------------- columnar equivalence --
+// ----------------------------------------------------- oracle equivalence --
 
-TEST(GroupByTest, ColumnarMatchesRowPath) {
+TEST(GroupByTest, ColumnarMatchesOracle) {
   Table t = CitiesTable();
   for (const std::vector<size_t>& cols :
-       {std::vector<size_t>{0}, std::vector<size_t>{1},
-        std::vector<size_t>{0, 1}}) {
+       {std::vector<size_t>{}, std::vector<size_t>{0},
+        std::vector<size_t>{1}, std::vector<size_t>{0, 1}}) {
     GroupMap columnar = GroupRowsBy(t, cols, t.AllRowIds());
-    GroupMap row_path = GroupRowsByRowPath(t, cols, t.AllRowIds());
-    ASSERT_EQ(columnar.size(), row_path.size());
-    for (const auto& [key, members] : row_path) {
+    GroupMap expected = oracle::GroupRowsBy(t, cols, t.AllRowIds());
+    ASSERT_EQ(columnar.size(), expected.size());
+    for (const auto& [key, members] : expected) {
       auto it = columnar.find(key);
       ASSERT_NE(it, columnar.end());
       EXPECT_EQ(it->second, members);
     }
   }
+  EXPECT_TRUE(GroupRowsBy(t, {}, {}).empty());
 }
 
-TEST(FdDetectorTest, ColumnarMatchesRowPath) {
+TEST(FdDetectorTest, ColumnarMatchesOracle) {
   Table t = CitiesTable();
   auto dc =
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
   const auto columnar = DetectFdViolations(t, dc, t.AllRowIds(), true);
-  const auto row_path = DetectFdViolationsRowPath(t, dc, t.AllRowIds(), true);
-  ASSERT_EQ(columnar.size(), row_path.size());
+  const auto expected =
+      oracle::DetectFdViolations(t, dc, t.AllRowIds(), true);
+  ASSERT_EQ(columnar.size(), expected.size());
   for (size_t i = 0; i < columnar.size(); ++i) {
-    EXPECT_EQ(columnar[i].lhs_key, row_path[i].lhs_key);
-    EXPECT_EQ(columnar[i].rows, row_path[i].rows);
-    EXPECT_EQ(columnar[i].rhs_histogram, row_path[i].rhs_histogram);
+    EXPECT_EQ(columnar[i].lhs_key, expected[i].lhs_key);
+    EXPECT_EQ(columnar[i].rows, expected[i].rows);
+    EXPECT_EQ(columnar[i].rhs_histogram, expected[i].rhs_histogram);
   }
 }
 
@@ -161,19 +165,6 @@ TEST(RangeFeasibleTest, OrderAndEqualityOps) {
 
 // -------------------------------------------------- theta-join detection --
 
-// Reference: all violating oriented pairs by brute force.
-std::set<std::pair<RowId, RowId>> BruteForce(const Table& t,
-                                             const DenialConstraint& dc) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (RowId a = 0; a < t.num_rows(); ++a) {
-    for (RowId b = 0; b < t.num_rows(); ++b) {
-      if (a == b) continue;
-      if (dc.ViolatedBy(t, a, b)) out.insert({a, b});
-    }
-  }
-  return out;
-}
-
 std::set<std::pair<RowId, RowId>> AsSet(const std::vector<ViolationPair>& v) {
   std::set<std::pair<RowId, RowId>> out;
   for (const ViolationPair& p : v) out.insert({p.t1, p.t2});
@@ -197,7 +188,7 @@ TEST(ThetaJoinTest, DetectAllMatchesBruteForce) {
   Table t = RandomSalaryTable(60, 11, 0.2);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector detector(&t, &dc, 8);
-  EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
   EXPECT_TRUE(detector.FullyChecked());
 }
 
@@ -219,7 +210,7 @@ TEST(ThetaJoinTest, IncrementalCoversResultPairs) {
   for (RowId r = 0; r < 20; ++r) result.push_back(r);
   auto found = AsSet(detector.DetectIncremental(result));
   // Every brute-force violation touching the result must be found.
-  for (const auto& [a, b] : BruteForce(t, dc)) {
+  for (const auto& [a, b] : oracle::ViolatingPairs(t, dc)) {
     const bool touches =
         (a < 20) || (b < 20);
     if (touches) {
@@ -257,7 +248,7 @@ TEST(ThetaJoinTest, SequentialIncrementalConvergesToFullCoverage) {
     }
   }
   EXPECT_TRUE(detector.FullyChecked());
-  EXPECT_EQ(all_found, BruteForce(t, dc));
+  EXPECT_EQ(all_found, oracle::ViolatingPairs(t, dc));
   EXPECT_DOUBLE_EQ(detector.Support(), 1.0);
 }
 
@@ -276,13 +267,11 @@ TEST(ThetaJoinTest, SupportGrowsMonotonically) {
   }
 }
 
-TEST(ThetaJoinTest, ColumnarMatchesRowPathEvaluation) {
+TEST(ThetaJoinTest, ColumnarMatchesOracleEvaluation) {
   Table t = RandomSalaryTable(60, 47, 0.2);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector columnar(&t, &dc, 8);
-  ThetaJoinDetector row_path(&t, &dc, 8);
-  row_path.set_columnar_enabled(false);
-  EXPECT_EQ(columnar.DetectAll(), row_path.DetectAll());
+  EXPECT_EQ(AsSet(columnar.DetectAll()), oracle::ViolatingPairs(t, dc));
 }
 
 TEST(ThetaJoinTest, ColumnarHandlesStringAndConstantAtoms) {
@@ -300,7 +289,8 @@ TEST(ThetaJoinTest, ColumnarHandlesStringAndConstantAtoms) {
         "dc: !(t1.zip >= 2 & t1.city != t2.city)"}) {
     auto dc = ParseConstraint(text, "cities", schema).ValueOrDie();
     ThetaJoinDetector detector(&t, &dc, 3);
-    EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc)) << text;
+    EXPECT_EQ(AsSet(detector.DetectAll()),
+              oracle::ViolatingPairs(t, dc)) << text;
   }
 }
 
@@ -340,8 +330,9 @@ TEST(ThetaJoinTest, RepairInvalidatesDetectorState) {
   ASSERT_TRUE(t.AppendRow({Value(4000.0), Value(0.40)}).ok());
   DenialConstraint dc = SalaryDc(schema);
   ThetaJoinDetector detector(&t, &dc, 2);
-  ASSERT_FALSE(BruteForce(t, dc).empty());  // the seed data is dirty
-  EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
+  // the seed data is dirty
+  ASSERT_FALSE(oracle::ViolatingPairs(t, dc).empty());
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
 
   // A candidate-only repair keeps the coverage: nothing is re-checked.
   t.SetCandidates(2, 1, {{Value(0.30), 1.0, 0, CandidateKind::kPoint}});
@@ -351,8 +342,8 @@ TEST(ThetaJoinTest, RepairInvalidatesDetectorState) {
   // Repairing the original value invalidates the column projection and the
   // stale coverage: detection sees the new value and the table is clean.
   t.mutable_cell(2, 1) = Cell(Value(0.30));
-  EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
-  EXPECT_TRUE(BruteForce(t, dc).empty());
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
+  EXPECT_TRUE(oracle::ViolatingPairs(t, dc).empty());
 
   // Estimates are refreshed too: a clean monotone table estimates no
   // errors, while the dirty version estimated some.
@@ -383,7 +374,7 @@ TEST(ThetaJoinTest, CandidateRepairMidWorkloadKeepsDetectionCorrect) {
     found.insert({p.t1, p.t2});
   }
   EXPECT_TRUE(detector.FullyChecked());
-  EXPECT_EQ(found, BruteForce(t, dc));
+  EXPECT_EQ(found, oracle::ViolatingPairs(t, dc));
 }
 
 TEST(ThetaJoinTest, TableReassignmentRefreshesDetector) {
@@ -395,7 +386,7 @@ TEST(ThetaJoinTest, TableReassignmentRefreshesDetector) {
   ThetaJoinDetector detector(&t, &dc, 4);
   (void)detector.DetectAll();
   t = RandomSalaryTable(40, 72, 0.3);
-  EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
 }
 
 TEST(ThetaJoinTest, EstimateErrorsSeesRepairedValues) {
@@ -442,6 +433,110 @@ TEST(ThetaJoinTest, AccuracyEstimateBounds) {
   EXPECT_DOUBLE_EQ(detector.EstimateAccuracy({}), 1.0);
 }
 
+// ------------------------------------------------ int64 beyond 2^53 --
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// Rows (2^53+1, 1) and (2^53, 2): the `a` values differ only beyond double
+// precision, so row 0 > row 1 holds on Values but not on their doubles.
+Table TwoRowsBeyondTwo53() {
+  Table t("t", Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
+  EXPECT_TRUE(t.AppendRow({Value(kTwo53 + 1), Value(int64_t{1})}).ok());
+  EXPECT_TRUE(t.AppendRow({Value(kTwo53), Value(int64_t{2})}).ok());
+  return t;
+}
+
+TEST(ThetaJoinTest, ConstantAtomExactBeyondTwo53) {
+  Table t = TwoRowsBeyondTwo53();
+  auto dc = ParseConstraint("dc: !(t1.a > 9007199254740992 & t1.b < t2.b)",
+                            "t", t.schema())
+                .ValueOrDie();
+  ThetaJoinDetector detector(&t, &dc, 4);
+  detector.set_pruning_enabled(false);
+  ASSERT_EQ(oracle::ViolatingPairs(t, dc).size(), 1u);
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
+}
+
+TEST(ThetaJoinTest, PruningExactBeyondTwo53) {
+  Table t = TwoRowsBeyondTwo53();
+  auto dc = ParseConstraint("dc: !(t1.a > t2.a & t1.b < t2.b)", "t",
+                            t.schema())
+                .ValueOrDie();
+  ThetaJoinDetector detector(&t, &dc, 1);
+  ASSERT_EQ(oracle::ViolatingPairs(t, dc).size(), 1u);
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
+}
+
+// Property: DetectAll and batched DetectIncremental equal the oracle on
+// int columns mixing small values with neighbours of 2^53, a double column
+// where such ints meet doubles, and a string column under order atoms,
+// for random partition counts, with and without pruning.
+TEST(ThetaJoinTest, MatchesOracleNearTwo53AcrossSeeds) {
+  const std::string kTwo53Text = std::to_string(kTwo53);
+  const std::vector<std::string> kRules = {
+      "!(t1.a > t2.a & t1.b < t2.b)",
+      "!(t1.a >= t2.a & t1.b != t2.b)",
+      "!(t1.a > " + kTwo53Text + " & t1.b < t2.b)",
+      "!(t1.a <= t2.b & t1.s > t2.s)",
+      "!(t1.s < t2.s & t1.a > t2.a)",
+      "!(t1.a != t2.a & t1.b == t2.b)",
+      "!(t1.d < t2.d & t1.b > t2.b)",
+      "!(t1.d == 9007199254740992.0 & t1.a < t2.a)",
+      "!(t1.a < t2.d & t1.d >= " + kTwo53Text + ")",
+  };
+  const Schema schema({{"a", ValueType::kInt},
+                       {"b", ValueType::kInt},
+                       {"s", ValueType::kString},
+                       {"d", ValueType::kDouble}});
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    Rng rng(seed);
+    auto some_int = [&]() {
+      return Value(rng.Bernoulli(0.5) ? kTwo53 + rng.UniformInt(-2, 2)
+                                      : rng.UniformInt(0, 5));
+    };
+    Table t("t", schema);
+    const int64_t n = rng.UniformInt(2, 24);
+    for (int64_t i = 0; i < n; ++i) {
+      const char letter = static_cast<char>('a' + rng.UniformInt(0, 4));
+      const Value s =
+          rng.Bernoulli(0.1) ? Value::Null() : Value(std::string(1, letter));
+      const Value d = rng.Bernoulli(0.5)
+                          ? some_int()
+                          : Value(static_cast<double>(kTwo53) +
+                                  2.0 * static_cast<double>(
+                                            rng.UniformInt(-1, 1)));
+      ASSERT_TRUE(t.AppendRow({some_int(), some_int(), s, d}).ok());
+    }
+    const std::string& rule = kRules[seed % kRules.size()];
+    auto dc = ParseConstraint("dc: " + rule, "t", schema).ValueOrDie();
+    const size_t partitions = static_cast<size_t>(rng.UniformInt(1, 6));
+    const bool pruning = rng.Bernoulli(0.7);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + rule +
+                 " p=" + std::to_string(partitions) +
+                 (pruning ? " pruned" : " unpruned"));
+    const auto expected = oracle::ViolatingPairs(t, dc);
+
+    ThetaJoinDetector all(&t, &dc, partitions);
+    all.set_pruning_enabled(pruning);
+    EXPECT_EQ(AsSet(all.DetectAll()), expected);
+
+    ThetaJoinDetector batched(&t, &dc, partitions);
+    batched.set_pruning_enabled(pruning);
+    std::set<std::pair<RowId, RowId>> found;
+    const RowId half = static_cast<RowId>(n / 2);
+    std::vector<RowId> first, second;
+    for (RowId r = 0; r < static_cast<RowId>(n); ++r) {
+      (r < half ? first : second).push_back(r);
+    }
+    for (const auto* batch : {&first, &second}) {
+      for (const ViolationPair& v : batched.DetectIncremental(*batch)) {
+        found.insert({v.t1, v.t2});
+      }
+    }
+    EXPECT_EQ(found, expected);
+  }
+}
+
 // Property sweep: DetectAll == brute force across sizes, seeds, partitions.
 struct ThetaParam {
   size_t n;
@@ -457,7 +552,7 @@ TEST_P(ThetaJoinPropertyTest, MatchesBruteForce) {
   Table t = RandomSalaryTable(p.n, p.seed, p.errors);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector detector(&t, &dc, p.partitions);
-  EXPECT_EQ(AsSet(detector.DetectAll()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -489,7 +584,7 @@ TEST_P(ThetaIncrementalPropertyTest, BatchesCoverTouchingViolations) {
       found.insert({v.t1, v.t2});
     }
   }
-  for (const auto& pair : BruteForce(t, dc)) {
+  for (const auto& pair : oracle::ViolatingPairs(t, dc)) {
     if (touched.count(pair.first) || touched.count(pair.second)) {
       EXPECT_TRUE(found.count(pair) > 0)
           << "missing (" << pair.first << "," << pair.second << ")";

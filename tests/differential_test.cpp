@@ -10,18 +10,18 @@
 //     (FdDeltaDetector) equals DetectFdViolations; the patched per-rule
 //     statistics equal a fresh Statistics::Compute.
 //
-//  2. The columnar and row evaluation paths agree: maintained theta-join
-//     state on both paths, FD detection on both paths, and two full
-//     DaisyEngines (columnar_filters on/off) driven through the same ingest
-//     + query sequence produce identical query outputs, counters, and final
-//     repaired tables.
-//
-// Under the CI ablation leg (DAISY_COLUMNAR_FILTERS set) the two engines
-// run the same filter path; the delta-vs-scratch axis is unaffected.
+//  2. The compiled evaluators agree with the row-at-a-time oracles of
+//     eval_oracle.h: the maintained theta-join set equals the brute-force
+//     pair enumeration, FD detection equals the Value-hashing group-by,
+//     and — around every query a full DaisyEngine runs over the ingest
+//     sequence, while repairs leave candidate-carrying cells behind — the
+//     compiled filter of the WHERE clause and of each of its conjuncts
+//     admits exactly the live rows the oracle admits.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,6 +30,9 @@
 #include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/theta_join.h"
+#include "eval_oracle.h"
+#include "plan/compiled_filter.h"
+#include "query/parser.h"
 #include "storage/database.h"
 
 namespace daisy {
@@ -211,31 +214,10 @@ bool SameGroups(const std::vector<FdGroup>& a, const std::vector<FdGroup>& b) {
   return ::testing::AssertionSuccess();
 }
 
-::testing::AssertionResult SameTables(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
-    return ::testing::AssertionFailure()
-           << "shape " << a.num_rows() << "x" << a.num_columns() << " vs "
-           << b.num_rows() << "x" << b.num_columns();
-  }
-  for (RowId r = 0; r < a.num_rows(); ++r) {
-    if (a.is_live(r) != b.is_live(r)) {
-      return ::testing::AssertionFailure() << "liveness differs at row " << r;
-    }
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      if (!(a.cell(r, c) == b.cell(r, c))) {
-        return ::testing::AssertionFailure()
-               << "cell (" << r << "," << c << ") differs: "
-               << a.cell(r, c).ToString() << " vs " << b.cell(r, c).ToString();
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
 // ------------------------------------------- detector-level differential --
 
-// Pure detection (no repairs): maintained state vs from-scratch, columnar
-// vs row path, after every interleaved append/delete.
+// Pure detection (no repairs): maintained state vs from-scratch and vs the
+// oracles, after every interleaved append/delete.
 void RunDetectorDifferential(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Scenario s = MakeScenario(seed);
@@ -248,10 +230,7 @@ void RunDetectorDifferential(uint64_t seed) {
   ASSERT_FALSE(dc.IsFd());
 
   ThetaJoinDetector theta(&t, &dc, 6);
-  ThetaJoinDetector theta_row(&t, &dc, 6);
-  theta_row.set_columnar_enabled(false);
   (void)theta.DetectAll();
-  (void)theta_row.DetectAll();
   FdDeltaDetector fd_state(&t, &fd);
 
   Rng rng(seed ^ 0xd1ffULL);
@@ -270,89 +249,108 @@ void RunDetectorDifferential(uint64_t seed) {
       continue;  // queries are the engine-level harness's concern
     }
     (void)theta.DetectDelta(delta);
-    (void)theta_row.DetectDelta(delta);
     (void)fd_state.ApplyDelta(delta, nullptr);
 
     // Delta-maintained == from-scratch.
     ThetaJoinDetector scratch(&t, &dc, 6);
     EXPECT_EQ(theta.maintained_violations(), Sorted(scratch.DetectAll()));
-    // Columnar == row path.
-    EXPECT_EQ(theta.maintained_violations(), theta_row.maintained_violations());
+    // Compiled == oracle.
+    std::set<std::pair<RowId, RowId>> maintained;
+    for (const ViolationPair& p : theta.maintained_violations()) {
+      maintained.insert({p.t1, p.t2});
+    }
+    EXPECT_EQ(maintained, oracle::ViolatingPairs(t, dc));
     EXPECT_TRUE(SameGroups(fd_state.ViolatingGroups(),
                            DetectFdViolations(t, fd, t.AllRowIds(), false)));
-    EXPECT_TRUE(
-        SameGroups(DetectFdViolations(t, fd, t.AllRowIds(), false),
-                   DetectFdViolationsRowPath(t, fd, t.AllRowIds(), false)));
+    EXPECT_TRUE(SameGroups(
+        DetectFdViolations(t, fd, t.AllRowIds(), false),
+        oracle::DetectFdViolations(t, fd, t.AllRowIds(), false)));
   }
 }
 
 // --------------------------------------------- engine-level differential --
 
-// Two full engines (columnar / row filter paths) replay the same ingest +
-// query sequence; outputs, counters, statistics, and the final repaired
-// tables must agree at every step.
+// The compiled filter over `where` and over each of its conjuncts admits
+// exactly the live rows of `t` the row-at-a-time oracle admits.
+::testing::AssertionResult FilterMatchesOracle(const Table& t,
+                                               const Expr* where) {
+  std::vector<const Expr*> exprs = SplitConjuncts(where);
+  if (exprs.size() > 1) exprs.push_back(where);
+  const std::vector<RowId> live = t.AllRowIds();
+  for (const Expr* expr : exprs) {
+    Result<CompiledFilter> compiled = CompiledFilter::Compile(t, *expr);
+    if (!compiled.ok()) {
+      return ::testing::AssertionFailure() << compiled.status().ToString();
+    }
+    std::vector<RowId> got;
+    for (RowId r : live) {
+      if (compiled.value().Matches(r)) got.push_back(r);
+    }
+    const std::vector<RowId> want =
+        oracle::FilterRows(t, expr, live).ValueOrDie();
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << expr->ToString() << ": compiled admits " << got.size()
+             << " rows, oracle " << want.size();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One engine replays the ingest + query sequence. Around every query —
+// before it repairs, and after, on the candidate-carrying table it left —
+// and once more after the final full clean, the compiled filter must
+// agree with the oracle; the delta-patched rule statistics must match a
+// fresh recompute after every query.
 void RunEngineDifferential(uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Scenario s = MakeScenario(seed);
 
-  auto make_engine = [&](bool columnar) {
-    auto db = std::make_unique<Database>();
-    EXPECT_TRUE(db->AddTable(BuildTable(s)).ok());
-    ConstraintSet rules;
-    EXPECT_TRUE(rules.AddFromText(s.fd_text, "t", s.schema).ok());
-    EXPECT_TRUE(rules.AddFromText(s.dc_text, "t", s.schema).ok());
-    DaisyOptions options;
-    options.mode = (seed % 2 == 0) ? DaisyOptions::Mode::kAdaptive
-                                   : DaisyOptions::Mode::kIncremental;
-    options.theta_partitions = 6;
-    options.columnar_filters = columnar;
-    auto engine =
-        std::make_unique<DaisyEngine>(db.get(), std::move(rules), options);
-    EXPECT_TRUE(engine->Prepare().ok());
-    return std::make_pair(std::move(db), std::move(engine));
-  };
-  auto [db_col, engine_col] = make_engine(true);
-  auto [db_row, engine_row] = make_engine(false);
+  Database db;
+  ASSERT_TRUE(db.AddTable(BuildTable(s)).ok());
+  ConstraintSet rules;
+  ASSERT_TRUE(rules.AddFromText(s.fd_text, "t", s.schema).ok());
+  ASSERT_TRUE(rules.AddFromText(s.dc_text, "t", s.schema).ok());
+  DaisyOptions options;
+  options.mode = (seed % 2 == 0) ? DaisyOptions::Mode::kAdaptive
+                                 : DaisyOptions::Mode::kIncremental;
+  options.theta_partitions = 6;
+  DaisyEngine engine(&db, std::move(rules), options);
+  ASSERT_TRUE(engine.Prepare().ok());
+  const Table& t = *db.GetTable("t").ValueOrDie();
 
   const std::vector<Op> ops = MakeOps(seed, s);
   for (size_t i = 0; i < ops.size(); ++i) {
     SCOPED_TRACE("op " + std::to_string(i));
     const Op& op = ops[i];
     if (op.kind == Op::Kind::kAppend) {
-      ASSERT_TRUE(engine_col->AppendRows("t", op.rows).ok());
-      ASSERT_TRUE(engine_row->AppendRows("t", op.rows).ok());
+      ASSERT_TRUE(engine.AppendRows("t", op.rows).ok());
     } else if (op.kind == Op::Kind::kDelete) {
-      const Table* t = db_col->GetTable("t").ValueOrDie();
-      std::vector<RowId> victims = PickVictims(*t, op.delete_count, seed + i);
+      std::vector<RowId> victims = PickVictims(t, op.delete_count, seed + i);
       if (victims.empty()) continue;
-      ASSERT_TRUE(engine_col->DeleteRows("t", victims).ok());
-      ASSERT_TRUE(engine_row->DeleteRows("t", victims).ok());
+      ASSERT_TRUE(engine.DeleteRows("t", victims).ok());
     } else {
-      QueryReport a = engine_col->Query(op.sql).ValueOrDie();
-      QueryReport b = engine_row->Query(op.sql).ValueOrDie();
-      EXPECT_TRUE(SameTables(a.output.result, b.output.result)) << op.sql;
-      EXPECT_EQ(a.errors_fixed, b.errors_fixed) << op.sql;
-      EXPECT_EQ(a.extra_tuples, b.extra_tuples) << op.sql;
-      EXPECT_EQ(a.rules_applied, b.rules_applied) << op.sql;
-      EXPECT_EQ(a.delta_rows_checked, b.delta_rows_checked) << op.sql;
-      EXPECT_EQ(a.switched_to_full, b.switched_to_full) << op.sql;
+      const SelectStmt stmt = ParseQuery(op.sql).ValueOrDie();
+      EXPECT_TRUE(FilterMatchesOracle(t, stmt.where.get())) << op.sql;
+      ASSERT_TRUE(engine.Query(op.sql).ok()) << op.sql;
+      EXPECT_TRUE(FilterMatchesOracle(t, stmt.where.get())) << op.sql;
 
       // The engine's delta-patched statistics match a fresh recompute over
       // the current data (repairs never change original values).
       Statistics fresh;
-      ASSERT_TRUE(fresh.Compute(*db_col, engine_col->constraints()).ok());
-      EXPECT_TRUE(SameStats(engine_col->statistics().ForRule("phi"),
+      ASSERT_TRUE(fresh.Compute(db, engine.constraints()).ok());
+      EXPECT_TRUE(SameStats(engine.statistics().ForRule("phi"),
                             fresh.ForRule("phi")))
           << op.sql;
     }
-    EXPECT_TRUE(SameTables(*db_col->GetTable("t").ValueOrDie(),
-                           *db_row->GetTable("t").ValueOrDie()));
   }
-
-  ASSERT_TRUE(engine_col->CleanAllRemaining().ok());
-  ASSERT_TRUE(engine_row->CleanAllRemaining().ok());
-  EXPECT_TRUE(SameTables(*db_col->GetTable("t").ValueOrDie(),
-                         *db_row->GetTable("t").ValueOrDie()));
+  // Full cleaning leaves candidates on every repaired cell.
+  ASSERT_TRUE(engine.CleanAllRemaining().ok());
+  for (const Op& op : ops) {
+    if (op.kind != Op::Kind::kQuery) continue;
+    const SelectStmt stmt = ParseQuery(op.sql).ValueOrDie();
+    EXPECT_TRUE(FilterMatchesOracle(t, stmt.where.get())) << op.sql;
+  }
 }
 
 TEST(DifferentialTest, DetectorStateAcross100Seeds) {

@@ -22,8 +22,8 @@ namespace {
 class EnvOverrideTest : public ::testing::Test {
  protected:
   static constexpr const char* kVars[] = {
-      "DAISY_COLUMNAR_FILTERS", "DAISY_OPTIMIZER", "DAISY_GROUP_COMMIT",
-      "DAISY_DETECT_THREADS", "DAISY_QUERY_THREADS"};
+      "DAISY_OPTIMIZER", "DAISY_GROUP_COMMIT", "DAISY_DETECT_THREADS",
+      "DAISY_QUERY_THREADS"};
 
   void SetUp() override {
     for (const char* var : kVars) {
@@ -72,8 +72,6 @@ TEST_F(EnvOverrideTest, ValidBoolsOverride) {
   EXPECT_FALSE(options.optimizer);
   ApplyWith("DAISY_OPTIMIZER", "true", &options);
   EXPECT_TRUE(options.optimizer);
-  ApplyWith("DAISY_COLUMNAR_FILTERS", "false", &options);
-  EXPECT_FALSE(options.columnar_filters);
   ApplyWith("DAISY_GROUP_COMMIT", "0", &options);
   EXPECT_FALSE(options.group_commit);
   ApplyWith("DAISY_GROUP_COMMIT", "1", &options);

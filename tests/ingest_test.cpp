@@ -13,6 +13,7 @@
 #include "detect/fd_delta.h"
 #include "detect/fd_detector.h"
 #include "detect/theta_join.h"
+#include "eval_oracle.h"
 #include "relax/relaxation.h"
 #include "repair/provenance.h"
 #include "storage/column_cache.h"
@@ -55,20 +56,6 @@ std::vector<std::vector<Value>> RandomSalaryBatch(size_t n, uint64_t seed,
     rows.push_back({Value(salary), Value(tax)});
   }
   return rows;
-}
-
-// Live-aware reference: all violating oriented pairs by brute force.
-std::set<std::pair<RowId, RowId>> BruteForce(const Table& t,
-                                             const DenialConstraint& dc) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (RowId a = 0; a < t.num_rows(); ++a) {
-    if (!t.is_live(a)) continue;
-    for (RowId b = 0; b < t.num_rows(); ++b) {
-      if (a == b || !t.is_live(b)) continue;
-      if (dc.ViolatedBy(t, a, b)) out.insert({a, b});
-    }
-  }
-  return out;
 }
 
 std::set<std::pair<RowId, RowId>> AsSet(const std::vector<ViolationPair>& v) {
@@ -218,7 +205,8 @@ TEST(ThetaDeltaTest, DeltaDetectionMatchesFromScratch) {
   auto delta = t.AppendRows(RandomSalaryBatch(15, 12, 0.2)).ValueOrDie();
   (void)detector.DetectDelta(delta);
   EXPECT_TRUE(detector.FullyChecked());
-  EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.maintained_violations()),
+            oracle::ViolatingPairs(t, dc));
 
   ThetaJoinDetector scratch(&t, &dc, 8);
   auto full = scratch.DetectAll();
@@ -255,7 +243,8 @@ TEST(ThetaDeltaTest, SequentialDeltasStayExact) {
     auto delta =
         t.AppendRows(RandomSalaryBatch(5 + step, 18 + step, 0.25)).ValueOrDie();
     (void)detector.DetectDelta(delta);
-    EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc))
+    EXPECT_EQ(AsSet(detector.maintained_violations()),
+              oracle::ViolatingPairs(t, dc))
         << "after delta " << step;
   }
   EXPECT_TRUE(detector.FullyChecked());
@@ -273,23 +262,28 @@ TEST(ThetaDeltaTest, DeletePrunesMaintainedViolations) {
   std::sort(victims.begin(), victims.end());
   victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
   ASSERT_TRUE(t.DeleteRows(victims).ok());
-  EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.maintained_violations()),
+            oracle::ViolatingPairs(t, dc));
   EXPECT_TRUE(detector.FullyChecked());  // tombstones need no checking
   // Detection after the delete never visits the tombstones.
   EXPECT_TRUE(detector.DetectAll().empty());
 }
 
-TEST(ThetaDeltaTest, RowPathDeltaMatchesColumnar) {
+TEST(ThetaDeltaTest, DeltaMatchesOracle) {
   Table t = RandomSalaryTable(40, 23, 0.25);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector columnar(&t, &dc, 8);
-  ThetaJoinDetector row_path(&t, &dc, 8);
-  row_path.set_columnar_enabled(false);
-  (void)columnar.DetectAll();
-  (void)row_path.DetectAll();
+  const auto before = oracle::ViolatingPairs(t, dc);
+  EXPECT_EQ(AsSet(columnar.DetectAll()), before);
   auto delta = t.AppendRows(RandomSalaryBatch(10, 24, 0.25)).ValueOrDie();
-  EXPECT_EQ(columnar.DetectDelta(delta), row_path.DetectDelta(delta));
-  EXPECT_EQ(columnar.maintained_violations(), row_path.maintained_violations());
+  // The delta pass reports exactly the pairs the append introduced.
+  std::set<std::pair<RowId, RowId>> added;
+  for (const auto& pair : oracle::ViolatingPairs(t, dc)) {
+    if (before.count(pair) == 0) added.insert(pair);
+  }
+  EXPECT_EQ(AsSet(columnar.DetectDelta(delta)), added);
+  EXPECT_EQ(AsSet(columnar.maintained_violations()),
+            oracle::ViolatingPairs(t, dc));
 }
 
 TEST(ThetaDeltaTest, PlainTableAppendsAutoIntegrateOnNextDetect) {
@@ -306,19 +300,21 @@ TEST(ThetaDeltaTest, PlainTableAppendsAutoIntegrateOnNextDetect) {
   EXPECT_FALSE(detector.FullyChecked());
   auto found = AsSet(detector.DetectAll());
   EXPECT_TRUE(detector.FullyChecked());
-  for (const auto& pair : BruteForce(t, dc)) {
+  for (const auto& pair : oracle::ViolatingPairs(t, dc)) {
     const bool touches_new = pair.first == 40 || pair.second == 40;
     if (touches_new) {
       EXPECT_TRUE(found.count(pair) > 0)
           << "missing (" << pair.first << "," << pair.second << ")";
     }
   }
-  EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.maintained_violations()),
+            oracle::ViolatingPairs(t, dc));
   // DetectIncremental drains stray appends too.
   ASSERT_TRUE(t.AppendRow({Value(1600.0), Value(0.98)}).ok());
   (void)detector.DetectIncremental({0, 1, 2});
   EXPECT_TRUE(detector.FullyChecked());
-  EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.maintained_violations()),
+            oracle::ViolatingPairs(t, dc));
 }
 
 TEST(ThetaDeltaTest, DeltaInterleavedWithIncrementalQueries) {
@@ -334,7 +330,8 @@ TEST(ThetaDeltaTest, DeltaInterleavedWithIncrementalQueries) {
   for (RowId r = 20; r < 40; ++r) second_half.push_back(r);
   (void)detector.DetectIncremental(second_half);
   EXPECT_TRUE(detector.FullyChecked());
-  EXPECT_EQ(AsSet(detector.maintained_violations()), BruteForce(t, dc));
+  EXPECT_EQ(AsSet(detector.maintained_violations()),
+            oracle::ViolatingPairs(t, dc));
 }
 
 // --------------------------------------------------------- FD delta state --

@@ -1,11 +1,13 @@
 // Tests for the physical plan layer: compiled-filter equivalence with the
-// row-path evaluator (property-style over ops, nulls and candidate cells),
-// batch-size invariance, scan accounting, and the join differential
-// against the reference join in join_oracle.h.
+// row-at-a-time oracle of eval_oracle.h (property-style over ops, nulls,
+// int64s around 2^53 and candidate cells), batch-size invariance, scan
+// accounting, and the join differential against the reference join in
+// join_oracle.h.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "eval_oracle.h"
 #include "join_oracle.h"
 #include "plan/compiled_filter.h"
 #include "plan/planner.h"
@@ -16,11 +18,24 @@
 namespace daisy {
 namespace {
 
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
 // A table exercising every cell shape the filter must handle: duplicated
-// ints, doubles, strings, ~10% nulls per column, plus point and range
-// candidates attached to a random subset of cells.
+// ints (a fifth of them neighbours of 2^53, where doubles round), doubles
+// (a few of them ints around 2^53, so rounded int64s meet doubles),
+// strings, ~10% nulls per column, plus point and range candidates attached
+// to a random subset of cells.
 Table MakeMessyTable(uint64_t seed, size_t rows) {
   Rng rng(seed);
+  auto some_int = [&]() {
+    return rng.Bernoulli(0.2) ? kTwo53 + rng.UniformInt(-2, 2)
+                              : rng.UniformInt(0, 20);
+  };
+  auto some_double = [&]() {
+    if (!rng.Bernoulli(0.1)) return Value(rng.UniformDouble(0, 10));
+    return rng.Bernoulli(0.5) ? Value(kTwo53 + rng.UniformInt(-1, 1))
+                              : Value(static_cast<double>(kTwo53));
+  };
   Table t("m", Schema({{"a", ValueType::kInt},
                        {"b", ValueType::kInt},
                        {"d", ValueType::kDouble},
@@ -32,9 +47,9 @@ Table MakeMessyTable(uint64_t seed, size_t rows) {
     };
     EXPECT_TRUE(
         t.AppendRow(
-             {maybe_null(Value(rng.UniformInt(0, 20))),
-              maybe_null(Value(rng.UniformInt(0, 20))),
-              maybe_null(Value(rng.UniformDouble(0, 10))),
+             {maybe_null(Value(some_int())),
+              maybe_null(Value(some_int())),
+              maybe_null(some_double()),
               maybe_null(Value("s" + std::to_string(rng.UniformInt(0, 9)))),
               maybe_null(Value("u" + std::to_string(rng.UniformInt(0, 9))))})
             .ok());
@@ -70,17 +85,20 @@ std::unique_ptr<Expr> ParseWhere(const std::string& condition) {
   return std::move(stmt.where);
 }
 
-// The property: the compiled batch filter admits exactly the rows the
-// row-path evaluator admits.
+// The property: the compiled batch filter (and FilterRows, which runs it)
+// admits exactly the rows the row-at-a-time oracle admits.
 void ExpectEquivalent(const Table& t, const std::string& condition) {
   std::unique_ptr<Expr> expr = ParseWhere(condition);
-  auto row_path = FilterRows(t, expr.get(), t.AllRowIds()).ValueOrDie();
+  auto expected =
+      oracle::FilterRows(t, expr.get(), t.AllRowIds()).ValueOrDie();
   auto compiled = CompiledFilter::Compile(t, *expr).ValueOrDie();
   std::vector<RowId> columnar;
   for (RowId r = 0; r < t.num_rows(); ++r) {
     if (compiled.Matches(r)) columnar.push_back(r);
   }
-  EXPECT_EQ(columnar, row_path) << "predicate: " << condition;
+  EXPECT_EQ(columnar, expected) << "predicate: " << condition;
+  EXPECT_EQ(FilterRows(t, expr.get(), t.AllRowIds()).ValueOrDie(), expected)
+      << "predicate: " << condition;
 }
 
 TEST(CompiledFilterTest, ConstantLeavesAllOpsAllTypes) {
@@ -91,6 +109,14 @@ TEST(CompiledFilterTest, ConstantLeavesAllOpsAllTypes) {
     ExpectEquivalent(t, std::string("a ") + op + " 10");
     ExpectEquivalent(t, std::string("a ") + op + " 100");
     ExpectEquivalent(t, std::string("a ") + op + " 9.5");
+    ExpectEquivalent(t, std::string("a ") + op + " " +
+                            std::to_string(kTwo53 + 1));
+    ExpectEquivalent(t, std::string("a ") + op + " " +
+                            std::to_string(kTwo53));
+    ExpectEquivalent(t, std::string("a ") + op + " 9007199254740992.0");
+    ExpectEquivalent(t, std::string("d ") + op + " " +
+                            std::to_string(kTwo53 + 1));
+    ExpectEquivalent(t, std::string("d ") + op + " 9007199254740992.0");
     ExpectEquivalent(t, std::string("d ") + op + " 5.0");
     ExpectEquivalent(t, std::string("s ") + op + " 's4'");
     ExpectEquivalent(t, std::string("s ") + op + " 'zz'");
@@ -128,7 +154,7 @@ TEST(CompiledFilterTest, ManyRandomPredicates) {
     const char* col = kCols[rng.UniformInt(0, 4)];
     const char* op = kOps[rng.UniformInt(0, 5)];
     std::string rhs;
-    switch (rng.UniformInt(0, 3)) {
+    switch (rng.UniformInt(0, 4)) {
       case 0:
         rhs = std::to_string(rng.UniformInt(-5, 25));
         break;
@@ -137,6 +163,9 @@ TEST(CompiledFilterTest, ManyRandomPredicates) {
         break;
       case 2:
         rhs = "'s" + std::to_string(rng.UniformInt(0, 12)) + "'";
+        break;
+      case 3:
+        rhs = std::to_string(kTwo53 + rng.UniformInt(-2, 2));
         break;
       default:
         rhs = kCols[rng.UniformInt(0, 4)];
@@ -164,20 +193,35 @@ Database MakePlanDb(uint64_t seed) {
   return db;
 }
 
-TEST(PlanTest, ColumnarAndRowPathPlansAgree) {
+TEST(PlanTest, PlanFilterMatchesOracle) {
   Database db = MakePlanDb(29);
   auto stmt = ParseQuery(
                   "SELECT a, s FROM m WHERE (a >= 3 AND a <= 17) OR d > 9.0")
                   .ValueOrDie();
-  Planner columnar(&db);
-  Planner row_path(&db);
-  row_path.set_columnar_filters(false);
-  auto p1 = columnar.PlanQuery(stmt).ValueOrDie();
-  auto p2 = row_path.PlanQuery(stmt).ValueOrDie();
-  auto o1 = p1.Execute().ValueOrDie();
-  auto o2 = p2.Execute().ValueOrDie();
-  ASSERT_EQ(o1.lineage, o2.lineage);
-  ASSERT_EQ(o1.result.num_rows(), o2.result.num_rows());
+  const Table& t = *db.GetTable("m").ValueOrDie();
+  const std::vector<RowId> expected =
+      oracle::FilterRows(t, stmt.where.get(), t.AllRowIds()).ValueOrDie();
+  Planner planner(&db);
+  auto out = planner.PlanQuery(stmt).ValueOrDie().Execute().ValueOrDie();
+  ASSERT_EQ(out.lineage.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(out.lineage[i], JoinedRow{expected[i]});
+  }
+  EXPECT_EQ(out.result.num_rows(), expected.size());
+}
+
+// Two int64 columns whose first row differs only beyond double precision:
+// `a > b` holds on both rows under Value semantics.
+TEST(PlanTest, CrossColumnFilterExactBeyondTwo53) {
+  Database db;
+  Table t("t", Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
+  ASSERT_TRUE(t.AppendRow({Value(kTwo53 + 1), Value(kTwo53)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(int64_t{3}), Value(int64_t{2})}).ok());
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  auto stmt = ParseQuery("SELECT a FROM t WHERE a > b").ValueOrDie();
+  Planner planner(&db);
+  auto out = planner.PlanQuery(stmt).ValueOrDie().Execute().ValueOrDie();
+  EXPECT_EQ(out.lineage, (std::vector<JoinedRow>{{0}, {1}}));
 }
 
 TEST(PlanTest, BatchSizeDoesNotChangeResults) {
@@ -303,9 +347,9 @@ TEST(PlanTest, JoinMatchesReferenceOracleAcrossSeeds) {
     auto split = SplitWhereClause(stmt, tables).ValueOrDie();
     std::vector<std::vector<RowId>> qualifying;
     for (size_t i = 0; i < n; ++i) {
-      qualifying.push_back(FilterRows(*tables[i],
-                                      split.table_filters[i].get(),
-                                      tables[i]->AllRowIds())
+      qualifying.push_back(oracle::FilterRows(*tables[i],
+                                              split.table_filters[i].get(),
+                                              tables[i]->AllRowIds())
                                .ValueOrDie());
     }
     const std::vector<JoinedRow> expected =

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "plan/compiled_filter.h"
 #include "plan/planner.h"
 #include "query/eval.h"
 #include "query/parser.h"
@@ -99,6 +101,105 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("SELECT * FROM t GROUP BY").ok());
 }
 
+// ------------------------------------------------------- ToString trips --
+
+TEST(ParserTest, ToStringPrintsParsableLiterals) {
+  auto stmt = ParseQuery(
+                  "SELECT * FROM emp WHERE salary > 1234567.5 AND "
+                  "name = 'O''Brien' AND bonus <= 9.0")
+                  .ValueOrDie();
+  EXPECT_EQ(stmt.where->ToString(),
+            "(salary > 1234567.5 AND name == 'O''Brien' AND bonus <= 9.0)");
+}
+
+// Random single-table statements over t(a int, b int, d double, s string)
+// with literals the printer must escape or keep exact: embedded quotes,
+// keywords inside strings, doubles needing 17 digits, integral doubles,
+// int64s around 2^53.
+Value RandomLiteral(Rng* rng, int kind) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  static const char* kStrings[] = {"O'Brien", "it''s", "'", "", "a AND b",
+                                   "x", "s1", " spaced "};
+  switch (kind) {
+    case 0:
+      return Value(rng->Bernoulli(0.3) ? kTwo53 + rng->UniformInt(-2, 2)
+                                       : rng->UniformInt(-50, 50));
+    case 1:
+      switch (rng->UniformInt(0, 3)) {
+        case 0:
+          return Value(rng->UniformDouble(-1e7, 1e7));
+        case 1:
+          return Value(static_cast<double>(rng->UniformInt(-20, 20)));
+        case 2:
+          return Value(static_cast<double>(kTwo53) *
+                       static_cast<double>(rng->UniformInt(1, 3)));
+        default:
+          return Value(rng->UniformDouble(-1, 1) * 1e-9);
+      }
+    default:
+      return Value(kStrings[rng->UniformInt(0, 7)]);
+  }
+}
+
+std::unique_ptr<Expr> RandomWhere(Rng* rng, int depth) {
+  static const char* kCols[] = {"a", "b", "d", "s"};
+  auto expr = std::make_unique<Expr>();
+  if (depth > 0 && rng->Bernoulli(0.5)) {
+    expr->kind = rng->Bernoulli(0.5) ? Expr::Kind::kAnd : Expr::Kind::kOr;
+    const int64_t n = rng->UniformInt(2, 3);
+    for (int64_t i = 0; i < n; ++i) {
+      expr->children.push_back(RandomWhere(rng, depth - 1));
+    }
+    return expr;
+  }
+  const int col = static_cast<int>(rng->UniformInt(0, 3));
+  expr->left = {rng->Bernoulli(0.3) ? "t" : "", kCols[col]};
+  expr->op = static_cast<CompareOp>(rng->UniformInt(0, 5));
+  if (rng->Bernoulli(0.2)) {
+    expr->right_is_column = true;
+    expr->right_col = {"", kCols[rng->UniformInt(0, 3)]};
+  } else {
+    expr->right_val = RandomLiteral(rng, col < 2 ? 0 : col == 2 ? 1 : 2);
+  }
+  return expr;
+}
+
+TEST(ParserTest, ToStringRoundTripsAcrossSeeds) {
+  Rng rng(404);
+  Table t("t", Schema({{"a", ValueType::kInt},
+                       {"b", ValueType::kInt},
+                       {"d", ValueType::kDouble},
+                       {"s", ValueType::kString}}));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(t.AppendRow({RandomLiteral(&rng, 0), RandomLiteral(&rng, 0),
+                             RandomLiteral(&rng, 1), RandomLiteral(&rng, 2)})
+                    .ok());
+  }
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng gen(seed);
+    SelectStmt stmt;
+    SelectItem item;
+    item.star = gen.Bernoulli(0.5);
+    if (!item.star) {
+      item.col = {"", "a"};
+      if (gen.Bernoulli(0.5)) item.alias = "x";
+    }
+    stmt.select_list.push_back(item);
+    stmt.tables = {"t"};
+    stmt.where = RandomWhere(&gen, 2);
+    if (gen.Bernoulli(0.3)) stmt.group_by.push_back({"", "b"});
+
+    const std::string text = stmt.ToString();
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + text);
+    Result<SelectStmt> reparsed = ParseQuery(text);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+    EXPECT_EQ(reparsed.value().ToString(), text);
+    EXPECT_EQ(FilterRows(t, reparsed.value().where.get(), t.AllRowIds())
+                  .ValueOrDie(),
+              FilterRows(t, stmt.where.get(), t.AllRowIds()).ValueOrDie());
+  }
+}
+
 // ------------------------------------------------------------------ Eval --
 
 Schema EmpSchema() {
@@ -143,24 +244,29 @@ TEST(EvalTest, CellsMayMatchOverlapSemantics) {
   EXPECT_TRUE(CellsMayMatch(a, CompareOp::kLt, c));
 }
 
-TEST(EvalTest, RowMaySatisfyTree) {
+TEST(EvalTest, FilterRowsTree) {
   Table t("emp", EmpSchema());
   ASSERT_TRUE(t.AppendRow({Value("eng"), Value(120.0)}).ok());
   auto stmt = ParseQuery(
                   "SELECT * FROM emp WHERE dept = 'eng' AND salary > 100")
                   .ValueOrDie();
-  EXPECT_TRUE(RowMaySatisfy(t, 0, *stmt.where).ValueOrDie());
+  EXPECT_EQ(FilterRows(t, stmt.where.get(), {0}).ValueOrDie(),
+            std::vector<RowId>{0});
   auto stmt2 = ParseQuery(
                    "SELECT * FROM emp WHERE dept = 'hr' OR salary < 50")
                    .ValueOrDie();
-  EXPECT_FALSE(RowMaySatisfy(t, 0, *stmt2.where).ValueOrDie());
+  EXPECT_TRUE(FilterRows(t, stmt2.where.get(), {0}).ValueOrDie().empty());
+  // A null expression keeps every input row.
+  EXPECT_EQ(FilterRows(t, nullptr, {0}).ValueOrDie(), std::vector<RowId>{0});
 }
 
 TEST(EvalTest, UnknownColumnFails) {
   Table t("emp", EmpSchema());
   ASSERT_TRUE(t.AppendRow({Value("eng"), Value(1.0)}).ok());
   auto stmt = ParseQuery("SELECT * FROM emp WHERE nope = 1").ValueOrDie();
-  EXPECT_FALSE(RowMaySatisfy(t, 0, *stmt.where).ok());
+  EXPECT_FALSE(FilterRows(t, stmt.where.get(), {0}).ok());
+  // Empty input never resolves the expression.
+  EXPECT_TRUE(FilterRows(t, stmt.where.get(), {}).ValueOrDie().empty());
 }
 
 // -------------------------------------------------------------- Executor --

@@ -257,12 +257,11 @@ TEST(TripSweep, CutsEveryBoundaryAndCoversAllNodeKinds) {
   {
     RunState probe;
     build_big(&probe);
-    // The Filter-labeled site only exists when the compiled columnar
-    // filter fans out morsels; the CI ablation leg disables it via
-    // DAISY_COLUMNAR_FILTERS=0 (ApplyEnvOverrides), so read the effective
-    // options instead of assuming the defaults.
-    filter_site_expected = probe.engine->options().columnar_filters &&
-                           probe.engine->options().query_threads > 1;
+    // The Filter-labeled site only exists when the filter fans out
+    // morsels; the CI ablation leg may change DAISY_QUERY_THREADS
+    // (ApplyEnvOverrides), so read the effective options instead of
+    // assuming the defaults.
+    filter_site_expected = probe.engine->options().query_threads > 1;
     Result<QueryReport> full = probe.engine->Query(big_sql);
     ASSERT_TRUE(full.ok()) << full.status();
     big_checks = full.value().resource_checks;
