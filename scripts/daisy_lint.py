@@ -32,9 +32,10 @@ Rules (each scoped to the directories where the invariant applies):
   mutable-cell [src/, tools/]  No ``mutable_cell(`` / ``mutable_row(``
               outside src/datagen/ and src/storage/table.{h,cc}. Candidate
               writes go through Table::SetCandidates, which keeps the
-              column cache valid in O(1); in-place access bumps the
-              column's content version and forces a full rebuild, so it
-              is reserved for data generators editing originals.
+              column cache current in O(1); in-place access drops the
+              table's whole column cache (the next access builds a new
+              one), so it is reserved for data generators editing
+              originals.
 
   row-oracle  [src/, tools/]   No ``ViolatedBy(`` / ``RowMaySatisfy(``
               calls outside src/constraints/denial_constraint.{h,cc}.

@@ -286,20 +286,13 @@ Status DaisyEngine::Prepare() {
 }
 
 void DaisyEngine::RefreshDerivedState() {
-  // Caches first (an append extension reallocates the arrays the
-  // detectors point into; repairs never do — they flip probabilistic bits
-  // in place), detectors second (their EnsureFresh rebuilds partitions
-  // over the grown arrays). After this, the shared read path finds every
-  // *built* projection and every detector fresh: column() takes its lock-free
-  // fast path and EnsureFresh is a pure read — "no rebuild under a
-  // reader". Never-touched columns stay lazy; a reader that is the first
-  // ever to compile a filter on one builds it cold under the cache's
-  // build mutex, which is safe because no pointers into it can predate it.
-  for (const std::string& name : db_->TableNames()) {
-    Result<Table*> table = db_->GetTable(name);
-    if (!table.ok()) continue;
-    table.value()->columns().RefreshBuilt();
-  }
+  // Detectors resync here so their EnsureFresh rebuilds partitions over
+  // arrays an append grew, and the shared read path finds every detector
+  // fresh — EnsureFresh is a pure read there ("no rebuild under a
+  // reader"). Column caches are write-through and owe nothing. A reader
+  // that is the first ever to compile a filter on a never-touched column
+  // builds it cold under the cache's build mutex, which is safe because no
+  // pointers into it can predate it.
   for (auto& [name, state] : rules_) {
     (void)name;
     if (state.theta != nullptr) state.theta->Refresh();

@@ -190,9 +190,9 @@ struct QueryReport {
 /// concurrently under a shared lock — pure plan execution over
 /// already-clean regions, scaling with reader threads. Every operation's
 /// result is bit-identical to a serial replay in epoch order (see
-/// QueryReport::epoch). Writer sections refresh all derived state (column
-/// caches, detector partitions) before unlocking, so shared-path readers
-/// never build or rebuild anything.
+/// QueryReport::epoch). Table writes keep the column caches current
+/// themselves, and writer sections resync detector partitions before
+/// unlocking, so shared-path readers never rebuild anything.
 class DaisyEngine {
  public:
   /// `db` must outlive the engine. Constraints are moved in.
@@ -389,10 +389,10 @@ class DaisyEngine {
   Result<QueryReport> ExecutePlanLocked(Plan* plan, bool read_path,
                                         uint64_t epoch)
       DAISY_REQUIRES_SHARED(*mu_);
-  /// Extends every built column projection over appended rows (rebuilds
-  /// one after an original edit) and resyncs every DC detector.
-  /// Called at the end of each writer section, before mu_ is released, so
-  /// the shared read path only ever reads fresh derived state.
+  /// Resyncs every DC detector with its table (column caches are
+  /// write-through and need no pass). Called at the end of each writer
+  /// section, before mu_ is released, so the shared read path only ever
+  /// reads fresh derived state.
   void RefreshDerivedState() DAISY_REQUIRES(*mu_);
 
   // Persistence internals (persist/engine_persist.cc). All run with the

@@ -1,8 +1,12 @@
 // Dynamically-typed scalar values stored in table cells.
 //
 // A Value is null, a 64-bit integer, a double, or a string. Integers and
-// doubles compare numerically against each other; strings compare
-// lexicographically. Nulls order before everything else and equal only null.
+// doubles compare against each other by exact numeric value (an int64 is
+// never rounded to a double first), so Compare is a total order and Equals
+// is transitive; strings compare lexicographically. Nulls order before
+// everything else and equal only null. NaN doubles are not admitted into
+// tables (Table::AppendRow, Value::Parse and the snapshot decoder reject
+// them); a NaN Value equals nothing.
 
 #ifndef DAISY_COMMON_VALUE_H_
 #define DAISY_COMMON_VALUE_H_
@@ -87,11 +91,12 @@ class Value {
     return d < 9223372036854775808.0 && static_cast<int64_t>(d) == as_int();
   }
 
-  /// Strict equality: same type class (numerics unify) and same content.
+  /// Strict equality: same type class (numerics unify) and same content;
+  /// int 2^53+1 and double 2^53 differ.
   bool Equals(const Value& other) const;
 
   /// Three-way comparison: -1, 0, +1. Nulls order first; numerics compare
-  /// numerically; mixed string/numeric compares by type rank.
+  /// by exact value; mixed string/numeric compares by type rank.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Equals(other); }
@@ -108,7 +113,8 @@ class Value {
   /// Renders the value for CSV/debug output. Null renders as "".
   std::string ToString() const;
 
-  /// Parses `text` as `type`. Empty text parses to null for any type.
+  /// Parses `text` as `type`. Empty text parses to null for any type; a
+  /// NaN double ("nan") is a parse error.
   static Result<Value> Parse(const std::string& text, ValueType type);
 
  private:

@@ -87,22 +87,12 @@ void ThetaJoinDetector::EnsureFresh() {
   ColumnCache& cache = table_->columns();
   const std::vector<size_t>& cols = dc_->involved_columns();
   // Content change: the values an involved column exposes differ from the
-  // ones the current partitions/coverage were computed on. A new cache
-  // identity (the table was reassigned wholesale) counts — generations of
-  // different cache instances are not comparable. Every rebuild advances
-  // the generation and every extension grows the row count, so the two
-  // branches below also cover every reallocation of the arrays the
-  // compiled atoms point into.
-  bool content_changed =
-      cols_.size() != cols.size() || cache.id() != cache_id_;
-  if (!content_changed) {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cache.column(cols[i]).generation != col_generations_[i]) {
-        content_changed = true;
-      }
-    }
-  }
-  if (content_changed) {
+  // ones the current partitions/coverage were computed on. The cache is
+  // write-through, so that happens only with a new cache identity (the
+  // table was reassigned wholesale or an original edited, which drops the
+  // cache). Every append grows the row count, so the branches below also
+  // cover every reallocation of the arrays the compiled atoms point into.
+  if (cols_.size() != cols.size() || cache.id() != cache_id_) {
     // Rows checked against the old values are not checked against the
     // new; estimates and the maintained set are stale too.
     BuildPartitions();
@@ -217,12 +207,7 @@ void ThetaJoinDetector::BuildPartitions() {
   const std::vector<size_t>& cols = dc_->involved_columns();
   cache_id_ = cache.id();
   cols_.clear();
-  col_generations_.clear();
-  for (size_t c : cols) {
-    const ColumnCache::Column& col = cache.column(c);
-    cols_.push_back(&col);
-    col_generations_.push_back(col.generation);
-  }
+  for (size_t c : cols) cols_.push_back(&cache.column(c));
   sort_slot_ = static_cast<size_t>(
       std::lower_bound(cols.begin(), cols.end(), sort_column_) - cols.begin());
 
@@ -283,8 +268,6 @@ void ThetaJoinDetector::CompileAtoms(ColumnCache& cache) {
                  a.constant.is_numeric() && a.constant.ExactAsDouble()) {
         ca.kind = CompiledAtom::Kind::kNumConst;
         ca.cnum = a.constant.AsDouble();
-      } else if (!left.RanksExactFor(a.constant)) {
-        ca.kind = CompiledAtom::Kind::kRow;
       } else {
         // Locate the constant in the column's rank domain: clo = #distinct
         // column values ordering strictly below it (Value::Compare, the
@@ -303,7 +286,7 @@ void ThetaJoinDetector::CompileAtoms(ColumnCache& cache) {
       ca.rnulls = right.nulls.data();
       ca.rranks = right.ranks.data();
       ca.check_nulls = left.has_nulls || right.has_nulls;
-      if (a.left_column == a.right_column && left.RanksExact()) {
+      if (a.left_column == a.right_column) {
         ca.kind = CompiledAtom::Kind::kRank;
       } else if (left.numeric_only && right.numeric_only && left.num_exact &&
                  right.num_exact) {
@@ -839,14 +822,10 @@ bool ThetaJoinDetector::FullyChecked() {
 bool ThetaJoinDetector::QuiescentForReaders() const {
   // Mirrors EnsureFresh's staleness checks without acting on them: any
   // condition that would make EnsureFresh rebuild or resync means a writer
-  // pass is owed, so the reader path must not be taken. column() is a pure
-  // read here as long as writers left the cache fresh (the engine's
-  // RefreshDerivedState guarantee).
-  ColumnCache& cache = table_->columns();
+  // pass is owed, so the reader path must not be taken.
   const std::vector<size_t>& cols = dc_->involved_columns();
-  if (cols_.size() != cols.size() || cache.id() != cache_id_) return false;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (cache.column(cols[i]).generation != col_generations_[i]) return false;
+  if (cols_.size() != cols.size() || table_->columns().id() != cache_id_) {
+    return false;
   }
   if (checked_.size() != table_->num_rows()) return false;
   if (deleted_log_pos_ != table_->deleted_rows_log().size()) return false;

@@ -21,19 +21,19 @@
 // Value variants per cell. DC atoms are compiled once per partition build:
 // numeric-only columns whose values all survive the double projection
 // (ColumnCache::Column::num_exact) compare as doubles, same-column and
-// constant atoms compare dense Value::Compare ranks (exact for strings and
-// for int64 beyond double precision, unless rounded int64s meet doubles),
-// and the rest — two different string-bearing or rounded columns — falls
-// back to per-cell Value evaluation: every pair check agrees with
-// DenialConstraint::ViolatedBy.
+// constant atoms compare dense Value::Compare ranks (exact for every type:
+// Compare is a total order), and the rest — two different string-bearing
+// or rounded columns — falls back to per-cell Value evaluation: every pair
+// check agrees with DenialConstraint::ViolatedBy.
 // Partition pruning reads the same projections and stays conservative:
 // order atoms prune only on numeric slots, strictly only on exact ones.
 //
-// The cache's content generations are checked on every public entry: an
-// edit of an original value invalidates the affected column projection,
-// rebuilds the partitions, and resets the checked-row coverage (the old
-// coverage was computed on different data); repairs attach candidates
-// only, never touch the cache's value arrays, and keep both.
+// The cache is write-through (storage/column_cache.h), so the detector
+// only checks the cache's id() on every public entry: a new id means an
+// original value was edited (or the table reassigned), which rebuilds the
+// partitions and resets the checked-row coverage (the old coverage was
+// computed on different data); repairs attach candidates only, never touch
+// the cache's value arrays, and keep both.
 //
 // Ingest deltas are cheaper than content changes: appended rows extend the
 // coverage vector as unchecked and only the partitions are rebuilt (from
@@ -189,7 +189,7 @@ class ThetaJoinDetector {
   void Refresh() { EnsureFresh(); }
 
   /// Non-mutating probe for the engine's shared read path: true when the
-  /// detector is fresh (no column rebuild, append, or delete pending) AND
+  /// detector is fresh (no new cache, append, or delete pending) AND
   /// every row is checked — i.e. any Detect*/FullyChecked call in the
   /// current state would be a pure read. Conservatively false whenever a
   /// writer pass would have work to do.
@@ -322,12 +322,11 @@ class ThetaJoinDetector {
   /// owe their new x old pass.
   RowId integrated_rows_ = 0;
 
-  // Flat-array state, rebuilt whenever an involved column's content
-  // generation moves or the table's rows change (see EnsureFresh). cols_
-  // is indexed by involved-column slot.
+  // Flat-array state, rebuilt whenever the cache identity moves or the
+  // table's rows change (see EnsureFresh). cols_ is indexed by
+  // involved-column slot.
   uint64_t cache_id_ = 0;
   std::vector<const ColumnCache::Column*> cols_;
-  std::vector<uint64_t> col_generations_;
   std::vector<CompiledAtom> compiled_;
   bool range_index_built_ = false;
 

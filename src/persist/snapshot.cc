@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <unordered_map>
@@ -19,8 +20,8 @@ namespace {
 
 // Exact-type dictionary key: Value::Equals unifies int 5 and double 5.0,
 // which must stay distinct on disk (the reconstructed cell has to render
-// and type-check exactly like the original). NaN doubles are keyed by bit
-// pattern so they dictionary-encode instead of growing one entry per cell.
+// and type-check exactly like the original). Doubles are keyed by bit
+// pattern (-0.0 stays distinct from 0.0).
 struct ExactKey {
   uint8_t tag;
   uint64_t bits;
@@ -170,6 +171,11 @@ Result<Table> DecodeTable(BinaryReader* r) {
     col_dicts[c].reserve(dict_size);
     for (uint32_t i = 0; i < dict_size; ++i) {
       DAISY_ASSIGN_OR_RETURN(Value v, r->ReadValue());
+      if (v.is_double() && std::isnan(v.as_double_raw())) {
+        // A table never admits NaN (Table::AppendRow); neither does recovery.
+        return Status::ParseError("snapshot: NaN value in column " +
+                                  std::to_string(c) + " of " + name);
+      }
       col_dicts[c].push_back(std::move(v));
     }
     col_codes[c].reserve(rows);

@@ -41,10 +41,6 @@ Result<CompiledFilter::Node> CompiledFilter::CompileNode(const Expr& expr) {
       node.lkind = LeafKind::kConstNull;
       return node;
     }
-    if (!left.RanksExactFor(node.rhs_val)) {
-      node.lkind = LeafKind::kRowFallback;
-      return node;
-    }
     node.lkind = LeafKind::kConstRank;
     const std::vector<Value>& sorted = left.sorted_distinct;
     auto it = std::lower_bound(

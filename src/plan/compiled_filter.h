@@ -6,9 +6,8 @@
 //
 //  * column-vs-constant leaves binary-search the constant once into the
 //    column's sorted distinct values and then compare dense Compare ranks —
-//    exact for every value type (strings, int64 beyond double precision)
-//    unless a rounded int64 meets a double (ColumnCache::Column::
-//    RanksExactFor), which keeps the per-row cell fallback;
+//    exact for every value type (strings, int64 beyond double precision,
+//    also next to doubles: Value::Compare is exact and total);
 //    EvalCompare's null semantics are precomputed into a per-leaf constant
 //    and re-applied through the null mask.
 //  * column-vs-same-column leaves compare ranks directly (one dictionary).

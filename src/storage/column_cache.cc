@@ -15,7 +15,6 @@ namespace {
 std::atomic<uint64_t> g_next_cache_id{1};
 
 struct StorageMetrics {
-  Counter* rebuilds;
   Counter* extends;
 
   static StorageMetrics& Get() {
@@ -25,22 +24,22 @@ struct StorageMetrics {
 
   StorageMetrics() {
     MetricsRegistry& r = MetricsRegistry::Global();
-    rebuilds = r.GetCounter(
-        "daisy_storage_column_rebuilds_total",
-        "Built column projections rebuilt after an original-value edit");
     extends = r.GetCounter("daisy_storage_column_extends_total",
                            "Column projections extended by appended rows");
   }
 };
+
+// Registered at load, so the storage family is on every scrape even before
+// the first cache exists (a rule-free table that is only appended to and
+// scanned never builds one).
+[[maybe_unused]] const StorageMetrics& kStorageMetrics = StorageMetrics::Get();
 
 }  // namespace
 
 ColumnCache::ColumnCache(const Table* table)
     : table_(table),
       slots_(table->num_columns()),
-      id_(g_next_cache_id.fetch_add(1, std::memory_order_relaxed)) {
-  (void)StorageMetrics::Get();  // register the families with the first cache
-}
+      id_(g_next_cache_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 double ColumnCache::NumericCoord(const Value& v) {
   if (v.is_numeric()) return v.AsDouble();
@@ -50,9 +49,9 @@ double ColumnCache::NumericCoord(const Value& v) {
 namespace {
 
 // The rank order of dictionary codes: Value::Compare, code as tiebreak.
-// Distinct-under-Equals values rarely tie under Compare (int64 beyond
-// 2^53 next to its double neighbour; NaN aside), but the tiebreak keeps
-// the order total and deterministic.
+// Compare is exact and total on the values a table admits (NaN is
+// rejected at ingest), so distinct-under-Equals values never tie; the
+// tiebreak only keeps the comparator a strict order by construction.
 struct CodeOrder {
   const std::vector<Value>* dict;
   bool operator()(uint32_t a, uint32_t b) const {
@@ -63,7 +62,7 @@ struct CodeOrder {
 };
 
 // Appends one cell to the row-ordered projections, the dictionary and the
-// column-wide flags — the per-row step shared by Rebuild and Extend.
+// column-wide flags — Extend's per-row step.
 void AppendProjection(const Cell& cell, ColumnCache::Column* col,
                       std::unordered_map<Value, uint32_t, ValueHash>* index) {
   const Value& v = cell.original();
@@ -72,7 +71,6 @@ void AppendProjection(const Cell& cell, ColumnCache::Column* col,
   if (v.is_null()) col->has_nulls = true;
   if (!v.is_null() && !v.is_numeric()) col->numeric_only = false;
   if (!v.ExactAsDouble()) col->num_exact = false;
-  if (v.is_double()) col->has_doubles = true;
   col->num.push_back(ColumnCache::NumericCoord(v));
   auto [it, inserted] =
       index->emplace(v, static_cast<uint32_t>(col->dict.size()));
@@ -121,58 +119,24 @@ void ColumnCache::AssignRanks(Slot* slot, uint32_t old_distinct) {
   }
 }
 
-void ColumnCache::Rebuild(size_t c) {
-  const size_t n = table_->num_rows();
-  Slot& slot = slots_[c];
-  Column fresh;
-  fresh.num.reserve(n);
-  fresh.codes.reserve(n);
-  fresh.nulls.reserve(n);
-  fresh.probs.reserve(n);
-
-  std::unordered_map<Value, uint32_t, ValueHash> dict_index;
-  dict_index.reserve(n);
-  for (RowId r = 0; r < n; ++r) {
-    AppendProjection(table_->cell(r, c), &fresh, &dict_index);
-  }
-
-  // Sorted index over the numeric projection, row id as tiebreak — the
-  // exact comparator the theta-join detector has always partitioned with.
-  fresh.sorted_rows.resize(n);
-  std::iota(fresh.sorted_rows.begin(), fresh.sorted_rows.end(), RowId{0});
-  std::sort(fresh.sorted_rows.begin(), fresh.sorted_rows.end(),
-            [&](RowId a, RowId b) {
-              if (fresh.num[a] != fresh.num[b]) {
-                return fresh.num[a] < fresh.num[b];
-              }
-              return a < b;
-            });
-  fresh.sorted_num.reserve(n);
-  for (RowId r : fresh.sorted_rows) fresh.sorted_num.push_back(fresh.num[r]);
-
-  // Only an original edit moves the content version, so a rebuild of a
-  // built column is always a (potential) content change.
-  if (slot.built) StorageMetrics::Get().rebuilds->Increment();
-  fresh.generation = slot.col.generation + 1;
-  slot.col = std::move(fresh);
-  slot.dict_index = std::move(dict_index);
-  AssignRanks(&slot, 0);
-  slot.built = true;
-  slot.built_content_version = table_->content_version(c);
-  slot.built_rows = n;
-}
-
-// Append-only extension: rows [built_rows, num_rows) join the projections
-// in O(delta) (plus one O(n) merge pass for the sorted index and, only when
-// the delta introduced new distinct values, an O(n) rank relabel). The
-// content `generation` deliberately stays put — the prefix the consumers'
-// derived state was computed on is unchanged.
+// Append-only extension: rows [old_n, num_rows) join the projections in
+// O(delta) (plus one O(n) merge pass for the sorted index and, only when
+// the delta introduced new distinct values, an O(n) rank relabel). From an
+// empty column this is the first build: the tail sort is then the full
+// sort, the merge a no-op and AssignRanks(slot, 0) a full relabel.
 void ColumnCache::Extend(size_t c) {
-  StorageMetrics::Get().extends->Increment();
   const size_t n = table_->num_rows();
   Slot& slot = slots_[c];
   Column& col = slot.col;
-  const size_t old_n = slot.built_rows;
+  const size_t old_n = col.num.size();
+  if (old_n == 0) {
+    col.num.reserve(n);
+    col.codes.reserve(n);
+    col.nulls.reserve(n);
+    col.probs.reserve(n);
+    col.sorted_rows.reserve(n);
+    slot.dict_index.reserve(n);
+  }
   const uint32_t old_distinct = static_cast<uint32_t>(col.dict.size());
   for (RowId r = old_n; r < n; ++r) {
     AppendProjection(table_->cell(r, c), &col, &slot.dict_index);
@@ -202,8 +166,6 @@ void ColumnCache::Extend(size_t c) {
   col.sorted_num.clear();
   col.sorted_num.reserve(n);
   for (RowId r : col.sorted_rows) col.sorted_num.push_back(col.num[r]);
-
-  slot.built_rows = n;
 }
 
 size_t ColumnCache::TrimmedDistinctCount(size_t c, double frac) {
@@ -234,43 +196,35 @@ size_t ColumnCache::EnsureBuilt(const std::vector<size_t>& cols) {
 void ColumnCache::SetProbabilistic(RowId r, size_t c, bool probabilistic) {
   MutexLock lock(&build_mu_);
   Slot& slot = slots_[c];
-  if (slot.built && r < slot.built_rows) {
+  if (slot.published.load(std::memory_order_relaxed)) {
     slot.col.probs[r] = probabilistic ? 1 : 0;
   }
 }
 
-void ColumnCache::RefreshBuilt() {
+void ColumnCache::ExtendBuilt() {
+  MutexLock lock(&build_mu_);
+  const size_t n = table_->num_rows();
   for (size_t c = 0; c < slots_.size(); ++c) {
-    if (slots_[c].published.load(std::memory_order_acquire)) {
-      (void)column(c);
+    Slot& slot = slots_[c];
+    if (!slot.published.load(std::memory_order_relaxed) ||
+        slot.col.num.size() == n) {
+      continue;
     }
+    StorageMetrics::Get().extends->Increment();
+    Extend(c);
   }
 }
 
 const ColumnCache::Column& ColumnCache::column(size_t c) {
   Slot& slot = slots_[c];
-  // Lock-free fast path: a published slot whose (content-version, rows)
-  // pair still matches the table is immutable until the next writer
-  // section (writers refresh every cache before releasing the engine's
-  // exclusive lock), so its arrays are readable without the build mutex.
-  if (slot.published.load(std::memory_order_acquire) &&
-      slot.published_version.load(std::memory_order_acquire) ==
-          table_->content_version(c) &&
-      slot.published_rows.load(std::memory_order_acquire) ==
-          table_->num_rows()) {
-    return slot.col;
-  }
+  // Lock-free fast path: a published column is kept current by the table's
+  // writes, which never overlap a reader (see the header).
+  if (slot.published.load(std::memory_order_acquire)) return slot.col;
   MutexLock lock(&build_mu_);
-  if (!slot.built ||
-      slot.built_content_version != table_->content_version(c)) {
-    Rebuild(c);
-  } else if (slot.built_rows < table_->num_rows()) {
+  if (!slot.published.load(std::memory_order_relaxed)) {
     Extend(c);
+    slot.published.store(true, std::memory_order_release);
   }
-  slot.published_version.store(slot.built_content_version,
-                               std::memory_order_release);
-  slot.published_rows.store(slot.built_rows, std::memory_order_release);
-  slot.published.store(true, std::memory_order_release);
   return slot.col;
 }
 

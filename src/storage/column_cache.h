@@ -1,6 +1,5 @@
 // Columnar fast-path layer: per-column typed projections of a row-store
-// table, rebuilt lazily when the owning table's per-column version counter
-// moves.
+// table, kept current by the table's own writes.
 //
 // Detection and statistics hot loops (theta-join pair checks, FD group-bys,
 // Estimate_Errors range counting) pay per-cell std::variant dispatch when
@@ -18,50 +17,43 @@
 //               code). Group-bys hash one uint32_t per row instead of a
 //               Value tuple.
 //  * `ranks`  — dense ranks under Value::Compare (nulls first, numerics by
-//               value, strings lexicographically). Same-column atom
-//               comparisons on rank are exact for every type, including
-//               int64 values beyond double precision.
+//               exact value, strings lexicographically). Compare is a total
+//               order, so rank comparisons are exact for every type,
+//               including int64 values beyond double precision next to
+//               doubles.
 //  * `nulls`  — null mask; EvalCompare's null semantics are re-applied on
 //               top of the flat arrays by consumers.
 //  * `sorted_rows`/`sorted_num` — row ids sorted by (num, row id) with the
 //               aligned projections, serving the detector's partition sort
 //               and binary-search range counts.
 //
-// Invalidation protocol: Table bumps a per-column *content* version only
-// when an original value may have changed in place (mutable_cell — data
-// generators, never the engine). On the next access the cache rebuilds the
-// column and advances its `generation`; consumers that keep derived state
-// (partition boundaries, checked-row sets) key it to `generation`, so an
-// original edit invalidates everything that depends on the column.
+// Write-through: a column is built on its first column() access and from
+// then on only the owning Table changes it, at the write that causes the
+// change (the mutators are private; Table is the one friend):
 //
-// Repairs are not content changes. Table::SetCandidates writes a cell's
-// candidate set and flips that row's `probs` byte in place (O(1), no
-// reallocation, no version bump); rows the cache does not cover yet pick
-// their bit up when they are extended in.
+//  * appends extend every built column in O(delta) — new rows join
+//    num/codes/nulls/probs and the dictionary directly; the sorted index
+//    merges the (sorted) new tail in one pass; ranks extend by table
+//    lookup, and when the delta introduced new distinct values only those
+//    are sorted and merged into the existing rank order (one O(n) relabel
+//    pass). A first build is the same extension from an empty column;
+//  * candidate writes (Table::SetCandidates) flip the row's `probs` byte in
+//    place (O(1), no reallocation);
+//  * deletes never touch the cache: the arrays keep tombstoned rows in
+//    place (row-id alignment) and consumers filter through Table::is_live;
+//  * original edits (Table::mutable_cell, data generators only) drop the
+//    whole cache. The next access builds a new one with a new id(), which
+//    consumers holding array pointers treat as a wholesale data change.
 //
-// Appends are not content changes either: when the table grew but the
-// column's content version did not move, the projections are *extended*
-// in O(delta) — new rows join num/codes/nulls/probs and the dictionary
-// directly; the sorted index merges the (sorted) new tail in one pass;
-// ranks extend by table lookup, and when the delta introduced new
-// distinct values only those are sorted and merged into the existing rank
-// order (one O(n) relabel pass, no re-sort of the dictionary). The content
-// `generation` stays put, so delta-aware detectors keep their coverage
-// across ingest batches. Deletes never touch the cache at all: the arrays
-// keep tombstoned rows in place (row-id alignment) and consumers filter
-// through Table::is_live.
+// So a built column is never stale and readers never check freshness.
 //
-// Concurrent-reader publication: a built column is published by storing
-// its (content-version, row-count) pair into per-slot atomics; column()
-// takes a lock-free fast path when the published pair still matches the
-// table, and falls into a mutex-guarded build otherwise. Under the
-// engine's reader/writer protocol (see clean/daisy_engine.h) writers leave
-// every column fresh before releasing the exclusive lock, so shared-path
-// readers only ever hit the fast path — a build never reallocates arrays
-// another reader points into ("no rebuild under a reader"); the mutex only
-// serializes the first lazy build of a never-touched column. Outside that
-// protocol the old contract stands: build single-threaded, then share the
-// arrays read-only.
+// Concurrent-reader publication: a built column is published through one
+// per-slot atomic flag; column() returns a published column lock-free and
+// falls into a mutex-guarded first build otherwise. Table writes run under
+// the engine's exclusive lock (see clean/daisy_engine.h), so readers on the
+// shared path never overlap an extension; the mutex only serializes the
+// first build of a never-touched column. Outside that protocol the plain
+// contract stands: write single-threaded, then share the arrays read-only.
 
 #ifndef DAISY_STORAGE_COLUMN_CACHE_H_
 #define DAISY_STORAGE_COLUMN_CACHE_H_
@@ -88,7 +80,7 @@ class ColumnCache {
     /// Cells carrying repair candidates (1 = probabilistic). Consumers that
     /// answer from the projected originals must fall back to per-cell
     /// evaluation for these rows. Maintained in place by
-    /// Table::SetCandidates; never part of `generation`.
+    /// Table::SetCandidates.
     std::vector<uint8_t> probs;
     std::vector<Value> dict;        ///< code -> first-seen value
     std::vector<Value> sorted_distinct;  ///< rank -> representative value
@@ -100,40 +92,21 @@ class ColumnCache {
     /// with Value::Compare. Consumers comparing doubles must fall back to
     /// ranks or per-cell evaluation when this is false.
     bool num_exact = true;
-    bool has_doubles = false;  ///< some value is a double
-
-    /// Dense ranks order the column exactly like Value::Compare. Fails
-    /// only when a rounded int64 meets a double: Compare then ties
-    /// distinct values and stops being transitive.
-    bool RanksExact() const { return num_exact || !has_doubles; }
-    /// A constant located in `sorted_distinct` compares against ranks
-    /// exactly like EvalCompare against the column's values — the same
-    /// condition with `probe` counted as one more value.
-    bool RanksExactFor(const Value& probe) const {
-      if (probe.is_double()) return num_exact;
-      if (!probe.ExactAsDouble()) return !has_doubles;
-      return RanksExact();
-    }
-    /// Advances on every rebuild (an original may have changed); extensions
-    /// and candidate writes keep it, so detector coverage survives ingest
-    /// batches and repairs.
-    uint64_t generation = 0;
   };
 
-  /// `table` must outlive the cache.
+  /// `table` must outlive the cache. Only the cache Table::columns() owns
+  /// is written through; one constructed directly is a from-scratch view
+  /// of the table as of its first column() calls.
   explicit ColumnCache(const Table* table);
 
-  /// Returns the projection of column `c`, rebuilding it first if the
-  /// table's version counter for `c` moved since the last build. The
-  /// reference stays valid until the next rebuild of the same column.
+  /// Returns the projection of column `c`, building it on first access.
+  /// The reference lives as long as the cache; the arrays inside it move
+  /// when an append extends them.
   const Column& column(size_t c);
 
-  /// Content generation of column `c` (ensures freshness first).
-  uint64_t generation(size_t c) { return column(c).generation; }
-
-  /// Distinct-value count of column `c` (dictionary size; ensures
-  /// freshness first). Counts tombstoned rows' values too — an upper
-  /// bound, which is what the cardinality estimator wants.
+  /// Distinct-value count of column `c` (dictionary size). Counts
+  /// tombstoned rows' values too — an upper bound, which is what the
+  /// cardinality estimator wants.
   size_t distinct_count(size_t c) { return column(c).dict.size(); }
 
   /// Min/max of column `c` over the numeric projection. Only meaningful
@@ -179,30 +152,16 @@ class ColumnCache {
   /// back to the dictionary size for non-numeric columns.
   size_t TrimmedDistinctCount(size_t c, double frac);
 
-  /// Batch-scan entry point: (re)builds the projections of every column in
+  /// Batch-scan entry point: builds the projections of every column in
   /// `cols` in one call and returns the table's row count. Plan operators
-  /// call this once at Open so the per-batch hot loop reads fresh arrays
-  /// without rebuild checks interleaved with evaluation.
+  /// call this once at Open so the per-batch hot loop reads built arrays
+  /// without first-build checks interleaved with evaluation.
   size_t EnsureBuilt(const std::vector<size_t>& cols);
-
-  /// Re-freshens every *already built* column (rebuild on content change,
-  /// extend on appends) and leaves never-touched columns lazy. The
-  /// engine's writer sections call this before releasing the exclusive
-  /// lock: stale arrays can only exist for built columns (those are the
-  /// ones readers may hold pointers into), while a cold first build under
-  /// a reader is safe — it is serialized by the build mutex and nobody
-  /// can hold pointers into arrays that never existed.
-  void RefreshBuilt();
-
-  /// Candidate-write hook (Table::SetCandidates): sets row `r`'s
-  /// probabilistic bit in column `c` if the column is built and covers the
-  /// row. O(1), no reallocation; callers hold the table exclusively.
-  void SetProbabilistic(RowId r, size_t c, bool probabilistic);
 
   /// Process-unique identity of this cache instance. A consumer holding
   /// array pointers must treat a different id as a wholesale data change
-  /// (the table was reassigned and its cache rebuilt from scratch —
-  /// generations restart and are not comparable across instances).
+  /// (the table was reassigned or an original edited, and its cache was
+  /// dropped and built anew).
   uint64_t id() const { return id_; }
 
   const Table& table() const { return *table_; }
@@ -213,37 +172,44 @@ class ColumnCache {
   static double NumericCoord(const Value& v);
 
  private:
+  // The table's writers are the only mutators of a built column.
+  friend class Table;
+
   struct Slot {
     Column col;
-    uint64_t built_content_version = 0;  ///< Table::content_version at build
-    size_t built_rows = 0;               ///< physical rows covered
-    bool built = false;
     // Incremental-extension state: the value -> code map and the code ->
-    // rank relabeling of the last (re)build, so appends avoid re-deriving
-    // them from the dictionary.
+    // rank relabeling, so appends avoid re-deriving them from the
+    // dictionary.
     std::unordered_map<Value, uint32_t, ValueHash> dict_index;
     std::vector<uint32_t> rank_of_code;
-    // Freshness published for the lock-free reader fast path; stored under
-    // build_mu_ after the arrays are final (release), checked with an
-    // acquire load in column(). `published` is the release/acquire gate.
-    std::atomic<uint64_t> published_version{0};
-    std::atomic<size_t> published_rows{0};
+    // Set under build_mu_ (release) once the first build is final; the
+    // lock-free reader fast path in column() checks it with an acquire load.
     std::atomic<bool> published{false};
   };
 
-  void Rebuild(size_t c) DAISY_REQUIRES(build_mu_);
+  /// Append hook (every Table append path, once per call): extends every
+  /// built column over the rows appended since its last extension.
+  void ExtendBuilt();
+
+  /// Candidate-write hook (Table::SetCandidates): sets row `r`'s
+  /// probabilistic bit in column `c` if the column is built. O(1), no
+  /// reallocation.
+  void SetProbabilistic(RowId r, size_t c, bool probabilistic);
+
+  /// The one build path: rows [num.size(), num_rows) join the projections.
+  /// A first build extends an empty column.
   void Extend(size_t c) DAISY_REQUIRES(build_mu_);
   static void AssignRanks(Slot* slot, uint32_t old_distinct);
 
   const Table* table_;
   /// Sized at construction, never resized. Slots are not GUARDED_BY: the
   /// vector itself is immutable after construction, each slot's arrays are
-  /// written only under build_mu_ (via Rebuild/Extend, and the probs bytes
-  /// via SetProbabilistic), and the published_*
-  /// atomics are the slot's own release/acquire gate for lock-free readers.
+  /// written only under build_mu_ (Extend, and the probs bytes via
+  /// SetProbabilistic), and `published` is the slot's own release/acquire
+  /// gate for lock-free readers.
   std::vector<Slot> slots_;
   uint64_t id_;
-  Mutex build_mu_;  ///< serializes Rebuild/Extend and publication
+  Mutex build_mu_;  ///< serializes Extend, SetProbabilistic and publication
 };
 
 }  // namespace daisy

@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/csv.h"
@@ -19,7 +20,6 @@ Table::Table(const Table& other)
     : name_(other.name_),
       schema_(other.schema_),
       rows_(other.rows_),
-      column_versions_(other.column_versions_),
       append_version_(other.append_version_),
       delta_generation_(other.delta_generation_),
       live_(other.live_),
@@ -31,7 +31,6 @@ Table& Table::operator=(const Table& other) {
   name_ = other.name_;
   schema_ = other.schema_;
   rows_ = other.rows_;
-  column_versions_ = other.column_versions_;
   append_version_ = other.append_version_;
   delta_generation_ = other.delta_generation_;
   live_ = other.live_;
@@ -51,7 +50,6 @@ Table::Table(Table&& other) noexcept
     : name_(std::move(other.name_)),
       schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
-      column_versions_(std::move(other.column_versions_)),
       append_version_(other.append_version_),
       delta_generation_(other.delta_generation_),
       live_(std::move(other.live_)),
@@ -66,7 +64,6 @@ Table& Table::operator=(Table&& other) noexcept {
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
   rows_ = std::move(other.rows_);
-  column_versions_ = std::move(other.column_versions_);
   append_version_ = other.append_version_;
   delta_generation_ = other.delta_generation_;
   live_ = std::move(other.live_);
@@ -109,14 +106,12 @@ bool TypeCompatible(const Value& v, ValueType t) {
 
 }  // namespace
 
-Status Table::AppendRow(std::vector<Value> values) {
+Status Table::CheckRow(const std::vector<Value>& values) const {
   if (values.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(values.size()) + " != schema arity " +
         std::to_string(schema_.num_columns()) + " for table " + name_);
   }
-  Row row;
-  row.cells.reserve(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     if (!TypeCompatible(values[i], schema_.column(i).type)) {
       return Status::TypeMismatch(
@@ -124,51 +119,56 @@ Status Table::AppendRow(std::vector<Value> values) {
           schema_.column(i).name + ":" +
           ValueTypeToString(schema_.column(i).type));
     }
-    row.cells.emplace_back(std::move(values[i]));
+    if (values[i].is_double() && std::isnan(values[i].as_double_raw())) {
+      return Status::InvalidArgument("NaN value for column " +
+                                     schema_.column(i).name + " of table " +
+                                     name_);
+    }
   }
+  return Status::OK();
+}
+
+void Table::ExtendCache() {
+  ColumnCache* cache = cache_ptr_.load(std::memory_order_acquire);
+  if (cache != nullptr) cache->ExtendBuilt();
+}
+
+Status Table::AppendRow(std::vector<Value> values) {
+  DAISY_RETURN_IF_ERROR(CheckRow(values));
+  Row row;
+  row.cells.reserve(values.size());
+  for (Value& v : values) row.cells.emplace_back(std::move(v));
   rows_.push_back(std::move(row));
   BumpAppend();
+  ExtendCache();
   return Status::OK();
 }
 
 RowId Table::AppendRowUnchecked(Row row) {
   rows_.push_back(std::move(row));
   BumpAppend();
+  ExtendCache();
   return rows_.size() - 1;
 }
 
 Result<TableDelta> Table::AppendRows(std::vector<std::vector<Value>> rows) {
   // Validate the whole batch before applying any row (all-or-nothing).
-  std::vector<Row> staged;
-  staged.reserve(rows.size());
-  for (std::vector<Value>& values : rows) {
-    if (values.size() != schema_.num_columns()) {
-      return Status::InvalidArgument(
-          "row arity " + std::to_string(values.size()) + " != schema arity " +
-          std::to_string(schema_.num_columns()) + " for table " + name_);
-    }
-    Row row;
-    row.cells.reserve(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (!TypeCompatible(values[i], schema_.column(i).type)) {
-        return Status::TypeMismatch(
-            "value '" + values[i].ToString() + "' does not match column " +
-            schema_.column(i).name + ":" +
-            ValueTypeToString(schema_.column(i).type));
-      }
-      row.cells.emplace_back(std::move(values[i]));
-    }
-    staged.push_back(std::move(row));
+  for (const std::vector<Value>& values : rows) {
+    DAISY_RETURN_IF_ERROR(CheckRow(values));
   }
   TableDelta delta;
-  delta.appended.reserve(staged.size());
-  for (Row& row : staged) {
+  delta.appended.reserve(rows.size());
+  for (std::vector<Value>& values : rows) {
+    Row row;
+    row.cells.reserve(values.size());
+    for (Value& v : values) row.cells.emplace_back(std::move(v));
     delta.appended.push_back(rows_.size());
     rows_.push_back(std::move(row));
     ++append_version_;
   }
   ++delta_generation_;
   delta.generation = delta_generation_;
+  ExtendCache();
   return delta;
 }
 

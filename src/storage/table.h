@@ -7,20 +7,19 @@
 // experiment).
 //
 // Ingest is transactional and delta-aware: AppendRows/DeleteRows apply one
-// batch atomically and return a TableDelta naming the affected row ids.
-// Two independent generation families let derived state react minimally:
+// batch atomically and return a TableDelta naming the affected row ids;
+// delta_generation() moves on every batch, so delta-aware detectors keep
+// their coverage and catch up in O(delta).
 //
-//  * content_version(c) moves only when an original value of column `c`
-//    may have changed in place (mutable_cell, which only data generators
-//    use) — the ColumnCache rebuilds the column and advances its content
-//    generation, discarding detector coverage;
-//  * delta_generation() moves on every append/delete batch — appends extend
-//    the derived projections in O(delta) and deletes only flip the live
-//    mask, so delta-aware detectors keep their coverage.
+// The derived column cache (storage/column_cache.h) is write-through: every
+// write below updates it itself, so it is never stale.
 //
-// Repairs never touch originals: SetCandidates replaces a cell's candidate
-// set and flips that row's probabilistic bit in the built column cache in
-// O(1), without moving either family.
+//  * Appends (all three paths) extend every built column, once per call.
+//  * Repairs never touch originals: SetCandidates replaces a cell's
+//    candidate set and flips that row's probabilistic bit in O(1).
+//  * Deletes only flip the live mask; the cache keeps tombstoned rows.
+//  * mutable_cell (data generators only) drops the cache; the next access
+//    builds a new one under a new ColumnCache::id().
 
 #ifndef DAISY_STORAGE_TABLE_H_
 #define DAISY_STORAGE_TABLE_H_
@@ -79,11 +78,10 @@ struct TableSnapshot {
 
 /// A named relation with probabilistic cells.
 ///
-/// `mutable_cell` bumps the addressed column's version counter so the
-/// derived columnar projections (see storage/column_cache.h) rebuild only
-/// that column. Handing out the reference counts as an edit of the
-/// column's originals — do not stash it and write through it across reads
-/// of the cache. Candidate writes go through SetCandidates instead.
+/// `mutable_cell` drops the derived columnar projections (see
+/// storage/column_cache.h); handing out the reference counts as an edit of
+/// an original — do not stash it and write through it across reads of the
+/// cache. Candidate writes go through SetCandidates instead.
 class Table {
  public:
   Table();
@@ -91,7 +89,7 @@ class Table {
   ~Table();
 
   // Copies and moves drop the derived column cache (it holds a pointer to
-  // the source table); it is rebuilt lazily on the next columns() access.
+  // the source table); a new one is built on the next columns() access.
   Table(const Table& other);
   Table& operator=(const Table& other);
   Table(Table&& other) noexcept;
@@ -113,26 +111,18 @@ class Table {
 
   const Row& row(RowId r) const { return rows_[r]; }
   const Cell& cell(RowId r, size_t c) const { return rows_[r].cells[c]; }
-  /// Original-value edit access (data generators). Bumps content_version(c).
+  /// Original-value edit access (data generators). Drops the column cache.
   Cell& mutable_cell(RowId r, size_t c) {
-    BumpColumn(c);
+    DropCache();
     return rows_[r].cells[c];
   }
 
   /// Replaces the candidate set of cell (r, c); an empty vector reverts the
   /// cell to its clean original. The vector is stored as given (callers
-  /// normalize first). Originals are untouched, so content_version(c) does
-  /// not move: if the column cache covers the row, its probabilistic bit
-  /// flips in place in O(1). Writer-exclusive, like every table mutation.
+  /// normalize first). Originals are untouched: if the column is built in
+  /// the cache, its probabilistic bit flips in place in O(1).
+  /// Writer-exclusive, like every table mutation.
   void SetCandidates(RowId r, size_t c, std::vector<Candidate> cands);
-
-  /// In-place original-edit counter of column `c`: moves only when an
-  /// existing original may have changed (mutable_cell) — candidate writes,
-  /// appends and deletes deliberately do not move it, so the derived
-  /// columnar projections stay valid or extendable in O(delta).
-  uint64_t content_version(size_t c) const {
-    return c < column_versions_.size() ? column_versions_[c] : 0;
-  }
 
   /// Moves once per appended row (all append paths).
   uint64_t append_version() const { return append_version_; }
@@ -159,17 +149,17 @@ class Table {
   /// publishes built columns atomically (see storage/column_cache.h).
   ColumnCache& columns() const;
 
-  /// Appends a tuple of deterministic values. Fails on arity mismatch or on
-  /// a non-null value whose type class disagrees with the schema.
+  /// Appends a tuple of deterministic values. Fails on arity mismatch, on a
+  /// non-null value whose type class disagrees with the schema, and on a
+  /// NaN double (NaN has no place in Value::Compare's total order).
   Status AppendRow(std::vector<Value> values);
 
   /// Appends a pre-built (possibly probabilistic) row without type checks.
   RowId AppendRowUnchecked(Row row);
 
-  /// Transactional batch append: every row is validated (arity + type class
-  /// per column, as AppendRow) before any row is applied, so a failure
-  /// leaves the table untouched. On success returns the delta describing
-  /// the new contiguous id range.
+  /// Transactional batch append: every row is validated as in AppendRow
+  /// before any row is applied, so a failure leaves the table untouched.
+  /// On success returns the delta describing the new contiguous id range.
   Result<TableDelta> AppendRows(std::vector<std::vector<Value>> rows);
 
   /// Transactional batch delete: every id must be in range, live, and
@@ -193,7 +183,7 @@ class Table {
   size_t TotalCandidateWidth() const;
 
   /// Reverts every cell to its original value (drops all repairs) through
-  /// SetCandidates, so it moves no version counter either.
+  /// SetCandidates.
   void ResetToOriginal();
 
   /// Snapshot-recovery hook: installs the ingest history of a persisted
@@ -220,14 +210,16 @@ class Table {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  void BumpColumn(size_t c) {
-    if (column_versions_.size() <= c) column_versions_.resize(c + 1, 0);
-    ++column_versions_[c];
-  }
+  /// Arity, type-class and NaN check shared by AppendRow and AppendRows.
+  Status CheckRow(const std::vector<Value>& values) const;
+  /// Write-through append step: extends the built cache columns over the
+  /// rows just appended (no-op without a cache).
+  void ExtendCache();
   /// Drops the derived cache: unpublishes the lock-free pointer, then
   /// destroys the cache under the creation mutex. Callers run with
-  /// exclusive access to the table (assignment, restore), but the lock
-  /// keeps the cache_ contract uniform and is uncontended there.
+  /// exclusive access to the table (assignment, restore, original edits),
+  /// but the lock keeps the cache_ contract uniform and is uncontended
+  /// there.
   void DropCache() const;
   void BumpAppend() {
     ++append_version_;
@@ -237,7 +229,6 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  std::vector<uint64_t> column_versions_;  ///< per-column original edits
   uint64_t append_version_ = 0;       ///< rows appended
   uint64_t delta_generation_ = 0;     ///< ingest batches applied
   std::vector<uint8_t> live_;         ///< tombstone mask; empty = all live

@@ -1,8 +1,8 @@
 // Tests for the columnar fast-path layer: typed projections, dictionary
-// codes, Compare ranks, the sorted index, the version/generation
-// invalidation protocol, and the incremental-cache differential (appends,
-// candidate writes, deletes and original edits against a from-scratch
-// build).
+// codes, Compare ranks, the sorted index, the write-through contract (each
+// table write updates the cache itself; original edits replace it), and
+// the incremental-cache differential (appends, candidate writes, deletes
+// and original edits against a from-scratch build).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "storage/column_cache.h"
 #include "storage/table.h"
@@ -93,43 +94,52 @@ TEST(ColumnCacheTest, SortedIndexOrdersByProjectionThenRowId) {
   EXPECT_EQ(col.sorted_num, (std::vector<double>{1, 2, 3, 3}));
 }
 
-TEST(ColumnCacheTest, MutationBumpsOnlyAffectedColumnVersion) {
+TEST(ColumnCacheTest, OriginalEditDropsCacheAndOthersKeepIt) {
   Table t = MixedTable();
-  const uint64_t v0 = t.content_version(0);
-  const uint64_t v1 = t.content_version(1);
-  t.mutable_cell(2, 0) = Cell(Value(9.0));
-  EXPECT_GT(t.content_version(0), v0);
-  EXPECT_EQ(t.content_version(1), v1);
-  // Appending a row moves the append family, not the content versions —
-  // the cache extends instead of rebuilding.
-  const uint64_t appends = t.append_version();
-  ASSERT_TRUE(t.AppendRow({Value(1.0), Value("X")}).ok());
-  EXPECT_GT(t.append_version(), appends);
-  EXPECT_EQ(t.content_version(1), v1);
-}
-
-TEST(ColumnCacheTest, RepairedOriginalIsVisibleAfterInvalidation) {
-  Table t = MixedTable();
-  ColumnCache& cache = t.columns();
-  const uint64_t city_gen = cache.generation(1);
-  EXPECT_EQ(cache.column(0).num[2], 2.5);
-  t.mutable_cell(2, 0) = Cell(Value(9.0));
-  EXPECT_EQ(cache.column(0).num[2], 9.0);
-  // The untouched column keeps its generation (no invalidation).
-  EXPECT_EQ(cache.generation(1), city_gen);
-}
-
-TEST(ColumnCacheTest, GenerationAdvancesOnlyOnContentChange) {
-  Table t = MixedTable();
-  ColumnCache& cache = t.columns();
-  const uint64_t g0 = cache.generation(0);
-  // Candidate-only repair: content does not change -> generation stays,
-  // so detectors keep their incremental coverage.
+  const uint64_t id = t.columns().id();
+  // Candidate writes, appends and deletes keep the cache (and its id).
   t.SetCandidates(0, 0, {{Value(6.0), 1.0, 0, CandidateKind::kPoint}});
-  EXPECT_EQ(cache.generation(0), g0);
-  // Original-value edit: content changes -> generation advances.
-  t.mutable_cell(0, 0) = Cell(Value(6.0));
-  EXPECT_GT(cache.generation(0), g0);
+  ASSERT_TRUE(t.AppendRow({Value(1.0), Value("X")}).ok());
+  ASSERT_TRUE(t.DeleteRows({1}).ok());
+  EXPECT_EQ(t.columns().id(), id);
+  // An original edit drops it: the next access builds a new one.
+  t.mutable_cell(2, 0) = Cell(Value(9.0));
+  EXPECT_NE(t.columns().id(), id);
+}
+
+TEST(ColumnCacheTest, RepairedOriginalIsVisibleAfterEdit) {
+  Table t = MixedTable();
+  EXPECT_EQ(t.columns().column(0).num[2], 2.5);
+  EXPECT_EQ(t.columns().column(1).dict.size(), 4u);
+  t.mutable_cell(2, 0) = Cell(Value(9.0));
+  EXPECT_EQ(t.columns().column(0).num[2], 9.0);
+  EXPECT_EQ(t.columns().column(1).dict.size(), 4u);
+}
+
+TEST(ColumnCacheTest, AppendsExtendBuiltColumnsAtWrite) {
+  Table t = MixedTable();
+  const ColumnCache::Column& col = t.columns().column(0);
+  ASSERT_EQ(col.num.size(), 5u);
+  const auto extends = [] {
+    return MetricsRegistry::Global().TakeSnapshot().counters.at(
+        "daisy_storage_column_extends_total");
+  };
+  const uint64_t before = extends();
+  ASSERT_TRUE(t.AppendRows({{Value(3.0), Value("SF")},
+                            {Value(8.5), Value("LA")}})
+                  .ok());
+  // The write itself extended the built column (and only that one) ...
+  const uint64_t after = extends();
+  EXPECT_EQ(after, before + 1);
+  EXPECT_EQ(col.num.size(), 7u);
+  EXPECT_EQ(col.num.back(), 8.5);
+  EXPECT_EQ(col.sorted_rows.size(), 7u);
+  // ... so reading it afterwards does no work.
+  EXPECT_EQ(&t.columns().column(0), &col);
+  EXPECT_EQ(extends(), after);
+  // A never-touched column is built on first access, not extended.
+  EXPECT_EQ(t.columns().column(1).num.size(), 7u);
+  EXPECT_EQ(extends(), after);
 }
 
 TEST(ColumnCacheTest, CopyAndMoveDropDerivedCache) {
@@ -159,11 +169,8 @@ TEST(ColumnCacheTest, CandidateWritesFlipMaskInPlace) {
   Table t = MixedTable();
   ColumnCache& cache = t.columns();
   const ColumnCache::Column& col = cache.column(0);
-  const uint64_t gen = col.generation;
   const double* data = col.num.data();
-  const uint64_t version = t.content_version(0);
   t.SetCandidates(1, 0, {{Value(6.0), 1.0, 0, CandidateKind::kPoint}});
-  EXPECT_EQ(t.content_version(0), version);
   EXPECT_EQ(cache.column(0).probs, (std::vector<uint8_t>{0, 1, 0, 0, 0}));
   t.SetCandidates(1, 0, {});
   EXPECT_FALSE(t.cell(1, 0).is_probabilistic());
@@ -171,9 +178,8 @@ TEST(ColumnCacheTest, CandidateWritesFlipMaskInPlace) {
   t.SetCandidates(4, 0, {{Value(1.0), 1.0, 0, CandidateKind::kPoint}});
   t.ResetToOriginal();
   EXPECT_EQ(cache.column(0).probs, (std::vector<uint8_t>{0, 0, 0, 0, 0}));
-  EXPECT_EQ(cache.column(0).generation, gen);
+  EXPECT_EQ(t.columns().id(), cache.id());
   EXPECT_EQ(cache.column(0).num.data(), data);
-  EXPECT_EQ(t.content_version(0), version);
 }
 
 // ------------------------------------ incremental vs from-scratch cache --
@@ -205,15 +211,13 @@ void ExpectSameColumn(const ColumnCache::Column& got,
   EXPECT_EQ(got.numeric_only, want.numeric_only) << where;
   EXPECT_EQ(got.has_nulls, want.has_nulls) << where;
   EXPECT_EQ(got.num_exact, want.num_exact) << where;
-  EXPECT_EQ(got.has_doubles, want.has_doubles) << where;
 }
 
 // One random value per column of DiffSchema(). Small domains so appends
 // repeat old values as often as they bring new ones. The amount column
 // mixes int and double spellings of the same number (`int 5` next to
-// `double 5.0` share a code) and the pair int 2^53+1 / double 2^53:
-// Equals-equal but hashed apart, so they hold two codes that tie under
-// Compare — the case the rank order's code tiebreak decides.
+// `double 5.0` share a code) and the pair int 2^53+1 / double 2^53, which
+// compare exactly: two codes, two ranks.
 Value RandomCell(Rng* rng, size_t c) {
   if (rng->Bernoulli(0.1)) return Value::Null();
   switch (c) {
@@ -273,8 +277,8 @@ RowId RandomRowId(Rng* rng, const Table& t) {
 // The cache maintained through a random interleaving of appends, candidate
 // writes (set and clear), deletes, original edits and mask resets must
 // equal, after every step, a cache built from scratch over a copy of the
-// table. Candidate-only steps must not rebuild: the generation and the
-// array storage of every built column stay put.
+// table. Only original edits replace the cache (new id); candidate-only
+// steps do not even move the array storage of a built column.
 TEST(ColumnCacheDifferentialTest, IncrementalMatchesFromScratch) {
   enum Op { kAppend, kSet, kClear, kDelete, kEdit, kReset, kBuild };
   for (uint64_t seed = 1; seed <= 120; ++seed) {
@@ -284,19 +288,14 @@ TEST(ColumnCacheDifferentialTest, IncrementalMatchesFromScratch) {
     for (int64_t i = 0; i < base; ++i) {
       ASSERT_TRUE(t.AppendRow(RandomRow(&rng)).ok());
     }
-    ColumnCache& cache = t.columns();
     std::vector<bool> built(3, false);
     built[static_cast<size_t>(rng.UniformInt(0, 2))] = true;
     for (int step = 0; step < 40; ++step) {
-      for (size_t c = 0; c < 3; ++c) {
-        if (built[c]) (void)cache.column(c);
-      }
-      std::vector<uint64_t> gens(3, 0);
+      ColumnCache& cache = t.columns();
+      const uint64_t id = cache.id();
       std::vector<const double*> data(3, nullptr);
       for (size_t c = 0; c < 3; ++c) {
-        if (!built[c]) continue;
-        gens[c] = cache.column(c).generation;
-        data[c] = cache.column(c).num.data();
+        if (built[c]) data[c] = cache.column(c).num.data();
       }
       const Op op = static_cast<Op>(rng.UniformInt(0, 13) % 7);
       const size_t col = static_cast<size_t>(rng.UniformInt(0, 2));
@@ -307,7 +306,7 @@ TEST(ColumnCacheDifferentialTest, IncrementalMatchesFromScratch) {
           for (int64_t i = 0; i < n; ++i) rows.push_back(RandomRow(&rng));
           const RowId first = t.num_rows();
           ASSERT_TRUE(t.AppendRows(std::move(rows)).ok());
-          // A repair landing on a row the cache has not extended over yet.
+          // A repair landing on a freshly appended row.
           if (rng.Bernoulli(0.5)) {
             t.SetCandidates(first, col, RandomCandidates(&rng, col));
           }
@@ -342,27 +341,27 @@ TEST(ColumnCacheDifferentialTest, IncrementalMatchesFromScratch) {
                                 std::to_string(step) + " op " +
                                 std::to_string(static_cast<int>(op));
       const bool candidate_only = op == kSet || op == kClear || op == kReset;
+      // Only an original edit replaces the cache; the old reference
+      // dangles then, so every read below goes through t.columns().
+      if (op == kEdit) {
+        EXPECT_NE(t.columns().id(), id) << where;
+      } else {
+        EXPECT_EQ(t.columns().id(), id) << where;
+      }
       Table copy = t;
       ColumnCache fresh(&copy);
       for (size_t c = 0; c < 3; ++c) {
         if (!built[c]) continue;
         const std::string at = where + " col " + std::to_string(c);
-        const ColumnCache::Column& got = cache.column(c);
+        const ColumnCache::Column& got = t.columns().column(c);
         ExpectSameColumn(got, fresh.column(c), at);
-        bool exact = true, doubles = false;
+        bool exact = true;
         for (RowId r = 0; r < copy.num_rows(); ++r) {
-          const Value& v = copy.cell(r, c).original();
-          exact = exact && v.ExactAsDouble();
-          doubles = doubles || v.is_double();
+          exact = exact && copy.cell(r, c).original().ExactAsDouble();
         }
         EXPECT_EQ(got.num_exact, exact) << at;
-        EXPECT_EQ(got.has_doubles, doubles) << at;
-        if (data[c] == nullptr) continue;  // built by this step
-        if (candidate_only) {
-          EXPECT_EQ(got.generation, gens[c]) << at;
+        if (candidate_only && data[c] != nullptr) {
           EXPECT_EQ(got.num.data(), data[c]) << at;
-        } else if (op == kEdit && c == col) {
-          EXPECT_GT(got.generation, gens[c]) << at;
         }
       }
       if (HasFailure()) return;

@@ -106,8 +106,39 @@ TEST(ValueTest, ExactAsDoubleFlagsRoundedInt64s) {
   EXPECT_TRUE(Value::Null().ExactAsDouble());
 }
 
+TEST(ValueTest, MixedIntDoubleCompareExactly) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const Value big_int(kTwo53 + 1);
+  const Value two53_int(kTwo53);
+  const Value two53_double(9007199254740992.0);
+  // The int is not rounded to the double it widens to.
+  EXPECT_NE(big_int, two53_double);
+  EXPECT_GT(big_int.Compare(two53_double), 0);
+  EXPECT_LT(two53_double.Compare(big_int), 0);
+  EXPECT_EQ(two53_int, two53_double);
+  EXPECT_EQ(two53_int.Compare(two53_double), 0);
+  // Fractions and the int64 range edges.
+  EXPECT_LT(Value(2), Value(2.5));
+  EXPECT_GT(Value(-2), Value(-2.5));
+  EXPECT_GT(Value(-1), Value(-1.5));
+  EXPECT_LT(Value(std::numeric_limits<int64_t>::max()),
+            Value(9223372036854775808.0));
+  EXPECT_EQ(Value(std::numeric_limits<int64_t>::min()),
+            Value(-9223372036854775808.0));
+  EXPECT_GT(Value(std::numeric_limits<int64_t>::min()), Value(-1e19));
+  EXPECT_LT(Value(0), Value(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(Value(0), Value(-0.0));
+  // A NaN equals nothing.
+  EXPECT_NE(Value(0), Value(std::numeric_limits<double>::quiet_NaN()));
+}
+
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(5).Hash(), Value(5.0).Hash());
+  // Up to the very edge of the int64 range.
+  EXPECT_EQ(Value(int64_t{9210000000000000000}).Hash(),
+            Value(9210000000000000000.0).Hash());
+  EXPECT_EQ(Value(std::numeric_limits<int64_t>::min()).Hash(),
+            Value(-9223372036854775808.0).Hash());
   EXPECT_EQ(Value("hello").Hash(), Value("hello").Hash());
   EXPECT_EQ(Value::Null().Hash(), Value::Null().Hash());
 }
@@ -131,6 +162,10 @@ TEST(ValueTest, ParseRoundTrips) {
 TEST(ValueTest, ParseErrors) {
   EXPECT_FALSE(Value::Parse("12x", ValueType::kInt).ok());
   EXPECT_FALSE(Value::Parse("abc", ValueType::kDouble).ok());
+  // NaN is not a value: Compare could not order it.
+  EXPECT_FALSE(Value::Parse("nan", ValueType::kDouble).ok());
+  EXPECT_FALSE(Value::Parse("-NaN", ValueType::kDouble).ok());
+  EXPECT_TRUE(Value::Parse("inf", ValueType::kDouble).ok());
 }
 
 // ----------------------------------------------------------- string_util --

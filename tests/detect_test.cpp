@@ -467,6 +467,52 @@ TEST(ThetaJoinTest, PruningExactBeyondTwo53) {
   EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
 }
 
+// int 2^53+1, int 2^53 and double 2^53 as an FD's left-hand side: Equals
+// is exact, so int 2^53 and double 2^53 form one group and int 2^53+1 its
+// own, ordered by Compare, in every row order.
+TEST(FdDetectorTest, MixedIntDoubleKeysGroupExactlyInAnyOrder) {
+  const std::vector<Value> keys = {Value(kTwo53 + 1), Value(kTwo53),
+                                   Value(static_cast<double>(kTwo53))};
+  const Schema schema({{"k", ValueType::kDouble}, {"v", ValueType::kString}});
+  auto dc = ParseConstraint("FD k -> v", "t", schema).ValueOrDie();
+  std::vector<size_t> perm = {0, 1, 2};
+  do {
+    SCOPED_TRACE("order " + std::to_string(perm[0]) +
+                 std::to_string(perm[1]) + std::to_string(perm[2]));
+    Table t("t", schema);
+    for (size_t k : perm) {
+      ASSERT_TRUE(t.AppendRow({keys[k], Value("v" + std::to_string(k))}).ok());
+    }
+    // The key index each group holds, in group order.
+    auto key_sets = [&](const std::vector<FdGroup>& groups) {
+      std::vector<std::set<size_t>> out;
+      for (const FdGroup& g : groups) {
+        std::set<size_t> ks;
+        for (RowId r : g.rows) ks.insert(perm[r]);
+        out.push_back(ks);
+      }
+      return out;
+    };
+    const std::vector<FdGroup> all =
+        DetectFdViolations(t, dc, t.AllRowIds(), /*include_clean=*/true);
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_LT(all[0].lhs_key[0].Compare(all[1].lhs_key[0]), 0);
+    EXPECT_EQ(key_sets(all),
+              (std::vector<std::set<size_t>>{{1, 2}, {0}}));
+    const std::vector<FdGroup> violating =
+        DetectFdViolations(t, dc, t.AllRowIds());
+    EXPECT_EQ(key_sets(violating), (std::vector<std::set<size_t>>{{1, 2}}));
+    // Every row finds its own group by its key.
+    const GroupMap groups = GroupAllRowsBy(t, {0});
+    ASSERT_EQ(groups.size(), 2u);
+    for (RowId r = 0; r < t.num_rows(); ++r) {
+      const auto it = groups.find(MakeGroupKey(t, r, {0}));
+      ASSERT_NE(it, groups.end());
+      EXPECT_EQ(it->second.size(), perm[r] == 0 ? 1u : 2u);
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+}
+
 // Property: DetectAll and batched DetectIncremental equal the oracle on
 // int columns mixing small values with neighbours of 2^53, a double column
 // where such ints meet doubles, and a string column under order atoms,

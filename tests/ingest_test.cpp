@@ -1,11 +1,13 @@
 // Unit tests for the incremental ingest layer: the transactional Table
-// batch-update API, O(delta) ColumnCache extension (the append/content
-// generation split), delta-aware theta-join detection, the delta-maintained
-// FD group state, and relaxation-index maintenance.
+// batch-update API, O(delta) write-through ColumnCache extension (appends
+// keep the cache, original edits replace it), delta-aware theta-join
+// detection, the delta-maintained FD group state, and relaxation-index
+// maintenance.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "clean/statistics.h"
@@ -93,6 +95,21 @@ TEST(TableIngestTest, AppendRowsIsAllOrNothing) {
   EXPECT_EQ(t.num_rows(), 1u);
 }
 
+TEST(TableIngestTest, AppendRowsRejectsNanAndLeavesTableUntouched) {
+  Table t("emp", SalarySchema());
+  ASSERT_TRUE(t.AppendRow({Value(1.0), Value(0.1)}).ok());
+  const ColumnCache::Column& col = t.columns().column(1);
+  const uint64_t gen0 = t.delta_generation();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(
+      t.AppendRows({{Value(2.0), Value(0.2)}, {Value(3.0), Value(nan)}}).ok());
+  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.delta_generation(), gen0);
+  EXPECT_EQ(col.num.size(), 1u);
+  EXPECT_FALSE(t.AppendRow({Value(nan), Value(0.3)}).ok());
+  EXPECT_EQ(t.num_rows(), 1u);
+}
+
 TEST(TableIngestTest, DeleteRowsTombstonesAndValidates) {
   Table t = RandomSalaryTable(6, 3, 0.0);
   auto delta = t.DeleteRows({4, 1}).ValueOrDie();
@@ -118,40 +135,40 @@ TEST(TableIngestTest, DeletedRowsLeaveAggregates) {
   EXPECT_EQ(t.CountProbabilisticCells(), 0u);
 }
 
-// -------------------------------------- ColumnCache generation split fix --
+// ------------------------------------------ ColumnCache identity split --
 
 // Regression for the version-bookkeeping conflation: appending rows must
-// extend the projections without advancing the content generation (so
-// detectors keep their incremental coverage), while an in-place edit of an
-// original value must advance it.
-TEST(ColumnCacheDeltaTest, AppendKeepsContentGeneration) {
+// extend the projections in place (same cache, so detectors keep their
+// incremental coverage), while an in-place edit of an original value must
+// replace the cache.
+TEST(ColumnCacheDeltaTest, AppendKeepsCacheIdentity) {
   Table t = RandomSalaryTable(20, 7, 0.2);
-  ColumnCache& cache = t.columns();
-  const uint64_t gen = cache.generation(0);
+  const uint64_t id = t.columns().id();
+  (void)t.columns().column(0);
   ASSERT_TRUE(t.AppendRows(RandomSalaryBatch(5, 8, 0.2)).ok());
-  EXPECT_EQ(cache.generation(0), gen);
-  EXPECT_EQ(cache.column(0).num.size(), 25u);
+  EXPECT_EQ(t.columns().id(), id);
+  EXPECT_EQ(t.columns().column(0).num.size(), 25u);
   // An original-value edit still invalidates.
   t.mutable_cell(0, 0) = Cell(Value(123.0));
-  EXPECT_GT(cache.generation(0), gen);
+  EXPECT_NE(t.columns().id(), id);
+  EXPECT_EQ(t.columns().column(0).num[0], 123.0);
 }
 
-TEST(ColumnCacheDeltaTest, CandidateRepairPlusAppendKeepsGeneration) {
+TEST(ColumnCacheDeltaTest, CandidateRepairPlusAppendKeepsCacheIdentity) {
   // Regression for the version-conflation bug the differential harness
   // caught: a candidate-only repair interleaved with an append once forced
-  // a full rebuild that read as a data change — spuriously advancing the
-  // generation and resetting detector coverage. Candidate writes no longer
-  // touch the content version at all.
+  // a full rebuild that read as a data change — spuriously resetting
+  // detector coverage. Candidate writes and appends keep the cache.
   Table t = RandomSalaryTable(20, 9, 0.2);
-  ColumnCache& cache = t.columns();
-  const uint64_t gen = cache.generation(1);
+  const uint64_t id = t.columns().id();
+  (void)t.columns().column(1);
   t.SetCandidates(0, 1, {{Value(0.7), 1.0, 0, CandidateKind::kPoint}});
   ASSERT_TRUE(t.AppendRows(RandomSalaryBatch(5, 10, 0.2)).ok());
-  EXPECT_EQ(cache.generation(1), gen);
+  EXPECT_EQ(t.columns().id(), id);
   // The same interleaving with an original-value edit still invalidates.
   t.mutable_cell(0, 1) = Cell(Value(0.9));
   ASSERT_TRUE(t.AppendRows(RandomSalaryBatch(2, 11, 0.2)).ok());
-  EXPECT_GT(cache.generation(1), gen);
+  EXPECT_NE(t.columns().id(), id);
 }
 
 TEST(ColumnCacheDeltaTest, ExtensionMatchesFullRebuild) {

@@ -278,10 +278,12 @@ TEST(MetricsIntegration, ExactCountersForKnownWorkload) {
   EXPECT_EQ(after.gauges.at("daisy_engine_epoch"),
             static_cast<int64_t>(deleted.value().engine_epoch));
 
-  // And the rendered page carries all three layers' families.
+  // And the rendered page carries the engine, persist and storage families.
   const std::string page = MetricsRegistry::Global().RenderPrometheus();
   EXPECT_NE(page.find("daisy_engine_queries_total"), std::string::npos);
   EXPECT_NE(page.find("daisy_persist_wal_fsyncs_total"), std::string::npos);
+  EXPECT_NE(page.find("daisy_storage_column_extends_total"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
 #include "common/rng.h"
 #include "eval_oracle.h"
 #include "join_oracle.h"
@@ -222,6 +226,39 @@ TEST(PlanTest, CrossColumnFilterExactBeyondTwo53) {
   Planner planner(&db);
   auto out = planner.PlanQuery(stmt).ValueOrDie().Execute().ValueOrDie();
   EXPECT_EQ(out.lineage, (std::vector<JoinedRow>{{0}, {1}}));
+}
+
+// int 2^53+1, int 2^53 and double 2^53 as hash-join keys: a pair joins
+// exactly when its keys are Equals — int 2^53 and double 2^53 join each
+// other, int 2^53+1 only itself — in every row order.
+TEST(PlanTest, HashJoinOnMixedIntDoubleKeysIsExact) {
+  const std::vector<Value> keys = {Value(kTwo53 + 1), Value(kTwo53),
+                                   Value(static_cast<double>(kTwo53))};
+  const std::set<std::pair<size_t, size_t>> expected = {
+      {0, 0}, {1, 1}, {1, 2}, {2, 1}, {2, 2}};
+  std::vector<size_t> perm = {0, 1, 2};
+  do {
+    SCOPED_TRACE("order " + std::to_string(perm[0]) +
+                 std::to_string(perm[1]) + std::to_string(perm[2]));
+    Database db;
+    Table l("l", Schema({{"k", ValueType::kDouble}}));
+    Table r("r", Schema({{"k", ValueType::kDouble}}));
+    for (size_t k : perm) ASSERT_TRUE(l.AppendRow({keys[k]}).ok());
+    for (const Value& v : keys) ASSERT_TRUE(r.AppendRow({v}).ok());
+    ASSERT_TRUE(db.AddTable(std::move(l)).ok());
+    ASSERT_TRUE(db.AddTable(std::move(r)).ok());
+    auto stmt = ParseQuery("SELECT l.k FROM l, r WHERE l.k = r.k").ValueOrDie();
+    Planner planner(&db);
+    auto out = planner.PlanQuery(stmt).ValueOrDie().Execute().ValueOrDie();
+    std::set<std::pair<size_t, size_t>> got;
+    for (const JoinedRow& j : out.lineage) got.insert({perm[j[0]], j[1]});
+    EXPECT_EQ(got, expected);
+    for (size_t a = 0; a < keys.size(); ++a) {
+      for (size_t b = 0; b < keys.size(); ++b) {
+        EXPECT_EQ(got.count({a, b}) == 1, keys[a] == keys[b]) << a << "," << b;
+      }
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
 }
 
 TEST(PlanTest, BatchSizeDoesNotChangeResults) {

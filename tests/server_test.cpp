@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -238,6 +239,30 @@ TEST_F(ServerTest, StatementErrorKeepsSessionUsable) {
   auto good = client.value()->Query("SELECT k FROM plain");
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_EQ(good.value().rows.size(), 0u);
+}
+
+TEST_F(ServerTest, NanAppendIsRejectedAndSessionKeepsServing) {
+  ASSERT_TRUE(
+      db_.AddTable(Table("readings", Schema({{"x", ValueType::kDouble}})))
+          .ok());
+  StartServer();
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  auto good = client.value()->Append("readings", {{Value(1.5)}});
+  ASSERT_TRUE(good.ok()) << good.status();
+  auto nan = client.value()->Append(
+      "readings",
+      {{Value(2.5)}, {Value(std::numeric_limits<double>::quiet_NaN())}});
+  EXPECT_FALSE(nan.ok());
+  EXPECT_EQ(db_.GetTable("readings").ValueOrDie()->num_rows(), 1u);
+
+  // Same connection still serves statements and writes.
+  auto rows = client.value()->Query("SELECT k FROM plain");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  auto again = client.value()->Append("readings", {{Value(3.5)}});
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(db_.GetTable("readings").ValueOrDie()->num_rows(), 2u);
 }
 
 TEST_F(ServerTest, FullAcceptQueueBouncesWithResourceExhausted) {

@@ -180,6 +180,16 @@ TEST(TableTest, FromCsvRejectsBadArity) {
   EXPECT_FALSE(Table::FromCsv(path, "t", TwoColSchema(), true).ok());
 }
 
+TEST(TableTest, FromCsvRejectsNan) {
+  const std::string path = ::testing::TempDir() + "/daisy_nan.csv";
+  const Schema schema({{"zip", ValueType::kInt}, {"rate", ValueType::kDouble}});
+  ASSERT_TRUE(WriteCsvFile(path, {{"zip", "rate"}, {"1", "0.5"}, {"2", "nan"}})
+                  .ok());
+  const Result<Table> t = Table::FromCsv(path, "t", schema, true);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kParseError);
+}
+
 // -------------------------------------------------------------- Database --
 
 TEST(DatabaseTest, AddGetAndDuplicate) {
