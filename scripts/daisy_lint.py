@@ -44,6 +44,13 @@ Rules (each scoped to the directories where the invariant applies):
               rule's definition and otherwise belongs in the test oracles
               (tests/*_oracle.h).
 
+  ingest-poll [src/, tools/]   No ``deleted_rows_log(`` outside src/storage/
+              and src/persist/. Consumers of ingest are told about each
+              batch (the engine pushes every TableDelta into the rule's
+              detectors and cleanσ state at the write); nobody polls the
+              table's log to find out what changed. Only the table itself
+              and the snapshot codec read it.
+
   test-nondet [tests/]         No nondeterminism sources on test golden
               paths: ``std::random_device``, ``srand``/``rand``,
               ``time(nullptr)``. Tests seed their PRNGs with constants so
@@ -78,6 +85,8 @@ MUTABLE_CELL_EXEMPT = {
     "src/storage/table.cc",
 }
 MUTABLE_CELL_EXEMPT_DIRS = ("src/datagen/",)  # original-value perturbation
+# The table and the snapshot codec own the deleted-rows log.
+INGEST_POLL_EXEMPT_DIRS = ("src/storage/", "src/persist/")
 ROW_ORACLE_EXEMPT = {
     "src/constraints/denial_constraint.h",  # ViolatedBy: the rule itself
     "src/constraints/denial_constraint.cc",
@@ -173,6 +182,17 @@ RULES = [
             (re.compile(r"\b(ViolatedBy|RowMaySatisfy)\s*\("),
              "row-at-a-time evaluation; use the compiled ColumnCache "
              "paths (row evaluators belong in tests/*_oracle.h)"),
+        ],
+    },
+    {
+        "name": "ingest-poll",
+        "dirs": ("src", "tools"),
+        "exempt": set(),
+        "exempt_dirs": INGEST_POLL_EXEMPT_DIRS,
+        "patterns": [
+            (re.compile(r"\bdeleted_rows_log\s*\("),
+             "polling the table's deleted-rows log; take the TableDelta "
+             "pushed at the write (ApplyDelta) instead"),
         ],
     },
     {

@@ -105,6 +105,21 @@ FIXTURES = [
      "// never mutable_cell(r, c) here\nint x;\n", 0),
     ("mutable_cell not scoped to tests", "tests/m_test.cpp",
      "void F(Table* t) { t->mutable_cell(0, 0) = Cell(Value(1)); }\n", 0),
+    # --- ingest-poll ---
+    ("deleted-log poll flagged in a detector", "src/detect/p.cc",
+     "size_t F(const Table* t) { return t->deleted_rows_log().size(); }\n",
+     1),
+    ("deleted-log poll flagged in tools", "tools/p_main.cc",
+     "void F(const Table& t) { (void)t.deleted_rows_log(); }\n", 1),
+    ("deleted-log read exempt in storage", "src/storage/table.h",
+     "const std::vector<RowId>& deleted_rows_log() const { return l_; }\n",
+     0),
+    ("deleted-log read exempt in persist", "src/persist/snapshot.cc",
+     "void F(const Table& t) { Encode(t.deleted_rows_log()); }\n", 0),
+    ("deleted-log poll in comment ignored", "src/clean/p.cc",
+     "// never deleted_rows_log() here\nint x;\n", 0),
+    ("deleted-log poll not scoped to tests", "tests/p_test.cpp",
+     "void F(const Table& t) { (void)t.deleted_rows_log(); }\n", 0),
     # --- row-oracle ---
     ("ViolatedBy pair check flagged in src", "src/detect/theta_join.cc",
      "bool F(const DenialConstraint& dc, const Table& t) {\n"

@@ -1,6 +1,7 @@
 #include "clean/clean_operators.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 #include "plan/compiled_filter.h"
@@ -36,14 +37,7 @@ void CleanSelect::MarkChecked(const std::vector<RowId>& rows) {
   }
 }
 
-void CleanSelect::SyncRowCount() {
-  if (checked_.size() < table_->num_rows()) {
-    checked_.resize(table_->num_rows(), false);
-  }
-}
-
-CleanSelectPersistState CleanSelect::ExportPersistState() {
-  SyncRowCount();
+CleanSelectPersistState CleanSelect::ExportPersistState() const {
   CleanSelectPersistState state;
   state.checked.reserve(checked_.size());
   for (bool b : checked_) state.checked.push_back(b ? 1 : 0);
@@ -77,7 +71,9 @@ Status CleanSelect::ImportPersistState(const CleanSelectPersistState& state) {
 
 void CleanSelect::ApplyDelta(const TableDelta& delta,
                              const std::vector<RowId>& stale_rows) {
-  SyncRowCount();
+  if (!delta.appended.empty() && checked_.size() <= delta.appended.back()) {
+    checked_.resize(delta.appended.back() + 1, false);
+  }
   for (RowId r : delta.deleted) {
     if (r < checked_.size() && !checked_[r]) {
       checked_[r] = true;  // a tombstone needs no cleaning
@@ -170,7 +166,8 @@ double CleanSelect::checked_fraction() const {
 Result<CleanSelectResult> CleanSelect::Run(
     const Expr* filter, const std::vector<RowId>& dirty_result,
     const CleaningOptions& options) {
-  SyncRowCount();
+  assert(checked_.size() == table_->num_rows() &&
+         "CleanSelect missed an ApplyDelta for an append");
   if (dc_->IsFd()) return RunFd(filter, dirty_result, options);
   return RunDc(filter, dirty_result, options);
 }
@@ -261,7 +258,6 @@ Result<CleanSelectResult> CleanSelect::RunDc(
   }
   CleanSelectResult out;
   out.final_rows = dirty_result;
-  theta_->set_pruning_enabled(options.theta_pruning);
 
   // Pay for the ingested rows first: new x old + new x new pairs, at
   // O(delta) instead of the full matrix. The drained violations feed the
@@ -305,9 +301,7 @@ Result<CleanSelectResult> CleanSelect::RunDc(
   return out;
 }
 
-Result<CleanSelectResult> CleanSelect::CleanRemaining(
-    const CleaningOptions& options) {
-  SyncRowCount();
+Result<CleanSelectResult> CleanSelect::CleanRemaining() {
   CleanSelectResult out;
   if (dc_->IsFd()) {
     out.delta_rows_checked = pending_rows_.size();
@@ -322,7 +316,6 @@ Result<CleanSelectResult> CleanSelect::CleanRemaining(
     MarkChecked(all);
     return out;
   }
-  theta_->set_pruning_enabled(options.theta_pruning);
   // Delta batches first: DetectAll skips checked-row pairs, so the new x
   // old cross pairs must be paid through DetectDelta before full coverage
   // is declared. No result set here, so the drained pairs need no

@@ -9,6 +9,11 @@
 // CleanJoin (clean⋈) cleans each join side's qualifying part with
 // CleanSelect and relies on Lemma 5: the updated join over the cleaned
 // parts needs no further violation checks.
+//
+// Ingest reaches a CleanSelect only through ApplyDelta, in the engine's
+// writer section that applied the batch, right after the rule's detector
+// took the same delta (FdDeltaDetector / ThetaJoinDetector::ApplyDelta).
+// Nothing here polls the table for rows it was not told about.
 
 #ifndef DAISY_CLEAN_CLEAN_OPERATORS_H_
 #define DAISY_CLEAN_CLEAN_OPERATORS_H_
@@ -33,8 +38,6 @@ struct CleaningOptions {
   double accuracy_threshold = 0.5;
   /// Skip cleaning when the result provably touches no dirty group.
   bool use_statistics_pruning = true;
-  /// Partition-prune the theta-join matrix (ablation switch).
-  bool theta_pruning = true;
 };
 
 /// Counters reported by one cleanσ invocation.
@@ -84,42 +87,39 @@ class CleanSelect {
                                 const CleaningOptions& options);
 
   /// Cleans everything not yet checked (the cost-model switch target).
-  Result<CleanSelectResult> CleanRemaining(const CleaningOptions& options);
+  Result<CleanSelectResult> CleanRemaining();
 
-  /// Folds one ingest batch into the per-rule bookkeeping: appended rows
-  /// join as unchecked, deleted rows become trivially checked, and
-  /// `stale_rows` (live members of violating FD groups whose membership
-  /// the batch changed — see FdDeltaDetector::ApplyDelta) lose their
-  /// checked status so the next touching query re-repairs them against the
-  /// new data. FD rules also extend the correlation index; DC rules queue
-  /// the delta for a DetectDelta pass on the next Run.
+  /// Folds one ingest batch into the per-rule bookkeeping — every batch on
+  /// the table must come through here: appended rows join as unchecked,
+  /// deleted rows become trivially checked, and `stale_rows` (live members
+  /// of violating FD groups whose membership the batch changed — see
+  /// FdDeltaDetector::ApplyDelta) lose their checked status so the next
+  /// touching query re-repairs them against the new data. FD rules also
+  /// extend the correlation index; DC rules queue the delta for a
+  /// DetectDelta pass on the next Run.
   void ApplyDelta(const TableDelta& delta,
                   const std::vector<RowId>& stale_rows);
 
   /// Fraction of rows already checked by this rule.
   double checked_fraction() const;
-  bool fully_checked() const {
-    return checked_count_ == checked_.size() &&
-           checked_.size() == table_->num_rows();
-  }
+  bool fully_checked() const { return checked_count_ == checked_.size(); }
 
   /// True when a Run() in the current state cannot mutate anything — every
   /// row checked, no ingest work pending, and (for general DCs) the
-  /// detector itself fresh and fully covered. The engine's shared read
-  /// path requires every cleanσ of a plan to be quiescent; Run() then takes
-  /// its pruned fast paths, which are pure reads.
+  /// detector fully covered. The engine's shared read path requires every
+  /// cleanσ of a plan to be quiescent; Run() then takes its pruned fast
+  /// paths, which are pure reads (the detector calls they make are const).
   bool quiescent() const {
     if (!fully_checked() || !pending_deltas_.empty() ||
         !pending_rows_.empty()) {
       return false;
     }
-    return theta_ == nullptr || theta_->QuiescentForReaders();
+    return theta_ == nullptr || theta_->FullyChecked();
   }
 
   /// Captures the cross-query bookkeeping for a snapshot (see
-  /// CleanSelectPersistState). Syncs the row count first so the bitmap
-  /// covers every physical row.
-  CleanSelectPersistState ExportPersistState();
+  /// CleanSelectPersistState).
+  CleanSelectPersistState ExportPersistState() const;
 
   /// Restores a previously exported state onto a freshly prepared operator
   /// whose table already holds the snapshotted rows. Fails if the bitmap
@@ -134,8 +134,6 @@ class CleanSelect {
                                   const std::vector<RowId>& dirty_result,
                                   const CleaningOptions& options);
   void MarkChecked(const std::vector<RowId>& rows);
-  /// Grows checked_ for rows appended directly on the table (no delta).
-  void SyncRowCount();
   /// DC path: runs DetectDelta + repair for every queued ingest batch,
   /// appending the detected violations to `drained` so the caller can
   /// apply the Example-3 extra-tuples join to them too.

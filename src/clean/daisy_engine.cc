@@ -281,29 +281,13 @@ Status DaisyEngine::Prepare() {
     plan_context_->rules.emplace(name, binding);
   }
   prepared_ = true;
-  RefreshDerivedState();
   return Status::OK();
-}
-
-void DaisyEngine::RefreshDerivedState() {
-  // Detectors resync here so their EnsureFresh rebuilds partitions over
-  // arrays an append grew, and the shared read path finds every detector
-  // fresh — EnsureFresh is a pure read there ("no rebuild under a
-  // reader"). Column caches are write-through and owe nothing. A reader
-  // that is the first ever to compile a filter on a never-touched column
-  // builds it cold under the cache's build mutex, which is safe because no
-  // pointers into it can predate it.
-  for (auto& [name, state] : rules_) {
-    (void)name;
-    if (state.theta != nullptr) state.theta->Refresh();
-  }
 }
 
 CleaningOptions DaisyEngine::MakeCleaningOptions() const {
   CleaningOptions opts;
   opts.accuracy_threshold = options_.accuracy_threshold;
   opts.use_statistics_pruning = options_.use_statistics_pruning;
-  opts.theta_pruning = options_.theta_pruning;
   return opts;
 }
 
@@ -336,9 +320,11 @@ Result<Plan> DaisyEngine::MakePlan(const SelectStmt& stmt) {
 }
 
 Result<QueryReport> DaisyEngine::ExecutePlanLocked(Plan* plan, bool read_path,
-                                                   uint64_t epoch) {
+                                                   uint64_t epoch,
+                                                   std::string* trace) {
   QueryReport report;
   DAISY_ASSIGN_OR_RETURN(report.output, plan->Execute());
+  if (trace != nullptr) *trace = plan->ExplainWithTrace();
   const CleaningExecStats& cs = plan->cleaning_stats();
   report.extra_tuples = cs.extra_tuples;
   report.errors_fixed = cs.errors_fixed;
@@ -375,7 +361,8 @@ Result<QueryReport> DaisyEngine::Query(const SelectStmt& stmt) {
 }
 
 Result<QueryReport> DaisyEngine::QueryWithLimits(const SelectStmt& stmt,
-                                                 const QueryLimits& limits) {
+                                                 const QueryLimits& limits,
+                                                 std::string* trace) {
   {
     // Shared read path: when every cleanσ of the plan is quiescent,
     // execution is a pure read (Run() takes its pruned fast paths, which
@@ -393,7 +380,7 @@ Result<QueryReport> DaisyEngine::QueryWithLimits(const SelectStmt& stmt,
       DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
       if (plan.CleaningQuiescent()) {
         plan.set_limits(limits);
-        return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_);
+        return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, trace);
       }
     }
   }
@@ -414,12 +401,11 @@ Result<QueryReport> DaisyEngine::QueryWithLimits(const SelectStmt& stmt,
     DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
     plan.set_limits(limits);
     if (options_.use_statistics_pruning && plan.CleaningQuiescent()) {
-      return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_);
+      return ExecutePlanLocked(&plan, /*read_path=*/true, epoch_, trace);
     }
     DAISY_RETURN_IF_ERROR(CheckWritableLocked());
     const uint64_t slot = ++epoch_;
-    report = ExecutePlanLocked(&plan, /*read_path=*/false, slot);
-    RefreshDerivedState();
+    report = ExecutePlanLocked(&plan, /*read_path=*/false, slot, trace);
     // A writer query mutated cleaning state (repairs, coverage, cost
     // ledger): make it durable before acknowledging. Read-path queries are
     // deliberately never logged — they have no state to replay. A cut
@@ -457,55 +443,10 @@ Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql) {
 Result<std::string> DaisyEngine::ExplainAnalyze(const std::string& sql,
                                                 const QueryLimits& limits) {
   DAISY_ASSIGN_OR_RETURN(SelectStmt stmt, ParseQuery(sql));
-  {
-    ReaderLock lock(&*mu_);
-    if (health_ == EngineHealth::kFailed) {
-      return Status::Internal("engine failed (unrecoverable): " +
-                              health_cause_.ToString());
-    }
-    if (prepared_ && options_.use_statistics_pruning) {
-      DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
-      if (plan.CleaningQuiescent()) {
-        plan.set_limits(limits);
-        DAISY_RETURN_IF_ERROR(
-            ExecutePlanLocked(&plan, /*read_path=*/true, epoch_).status());
-        return plan.ExplainWithTrace();
-      }
-    }
-  }
-  persist::GroupCommitQueue::TicketPtr ticket;
-  Result<std::string> rendered = Status::Internal("unset");
-  {
-    WriterLock lock(&*mu_);
-    if (health_ == EngineHealth::kFailed) {
-      return Status::Internal("engine failed (unrecoverable): " +
-                              health_cause_.ToString());
-    }
-    DAISY_ASSIGN_OR_RETURN(Plan plan, MakePlan(stmt));
-    plan.set_limits(limits);
-    if (options_.use_statistics_pruning && plan.CleaningQuiescent()) {
-      DAISY_RETURN_IF_ERROR(
-          ExecutePlanLocked(&plan, /*read_path=*/true, epoch_).status());
-      return plan.ExplainWithTrace();
-    }
-    DAISY_RETURN_IF_ERROR(CheckWritableLocked());
-    const uint64_t slot = ++epoch_;
-    Result<QueryReport> report =
-        ExecutePlanLocked(&plan, /*read_path=*/false, slot);
-    RefreshDerivedState();
-    DAISY_RETURN_IF_ERROR(report.status());
-    // Same cleaning side effects as a writer Query — replayed as one (the
-    // analyze rendering is a pure read on top). Cut executions stay
-    // volatile, exactly like Query().
-    const bool cut =
-        report.value().termination == QueryTermination::kTimeout ||
-        report.value().termination == QueryTermination::kCancelled;
-    if (!cut && wal_ != nullptr && !wal_replay_) {
-      DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(persist::EncodeWalQuery(stmt)));
-    }
-    rendered = plan.ExplainWithTrace();
-  }
-  DAISY_RETURN_IF_ERROR(AwaitWalTicket(ticket));
+  // Same protocol, cleaning side effects and WAL record as Query(); the
+  // analyze rendering is a pure read of the executed plan on top.
+  std::string rendered;
+  DAISY_RETURN_IF_ERROR(QueryWithLimits(stmt, limits, &rendered).status());
   return rendered;
 }
 
@@ -534,7 +475,6 @@ Result<TableDelta> DaisyEngine::AppendRows(
     delta.engine_epoch = ++epoch_;
     EngineMetrics::Get().rows_appended->Increment(delta.appended.size());
     EngineMetrics::Get().epoch->Set(static_cast<int64_t>(epoch_));
-    RefreshDerivedState();
     if (!wal_payload.empty()) {
       DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(wal_payload));
     }
@@ -566,7 +506,6 @@ Result<TableDelta> DaisyEngine::DeleteRows(const std::string& table,
     delta.engine_epoch = ++epoch_;
     EngineMetrics::Get().rows_deleted->Increment(delta.deleted.size());
     EngineMetrics::Get().epoch->Set(static_cast<int64_t>(epoch_));
-    RefreshDerivedState();
     if (!wal_payload.empty()) {
       DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(wal_payload));
     }
@@ -595,13 +534,15 @@ Status DaisyEngine::ApplyDeltaToRules(const std::string& table_name,
       for (RowId r : stale_rows) {
         prov.DropRuleRecords(state.table, r, name);
       }
-    } else if (state.theta != nullptr && !delta.deleted.empty()) {
-      // A deletion that retracts violating pairs invalidates the repairs
-      // derived from them. DC pair evidence accumulates per cell and is
-      // not separable per pair, so re-derive this rule's fixes wholesale
-      // from the surviving maintained set — exactly what cleaning the
-      // post-delete data from scratch would produce.
-      if (state.theta->ConsumeRetractions() > 0) {
+    } else if (state.theta != nullptr) {
+      // The detector takes every batch here, inside the writer section
+      // that applied it. A deletion that retracts violating pairs
+      // invalidates the repairs derived from them. DC pair evidence
+      // accumulates per cell and is not separable per pair, so re-derive
+      // this rule's fixes wholesale from the surviving maintained set —
+      // exactly what cleaning the post-delete data from scratch would
+      // produce.
+      if (state.theta->ApplyDelta(delta) > 0) {
         ProvenanceStore& prov = provenance_[table_name];
         prov.DropRule(state.table, name);
         const std::vector<ViolationPair>& surviving =
@@ -624,18 +565,16 @@ Status DaisyEngine::CleanAllRemaining() {
     WriterLock lock(&*mu_);
     if (!prepared_) return Status::Internal("Prepare() must be called first");
     DAISY_RETURN_IF_ERROR(CheckWritableLocked());
-    const CleaningOptions clean_opts = MakeCleaningOptions();
     for (auto& [name, state] : rules_) {
       if (state.op->fully_checked()) continue;
       DAISY_ASSIGN_OR_RETURN(CleanSelectResult res,
-                             state.op->CleanRemaining(clean_opts));
+                             state.op->CleanRemaining());
       // The per-rule counters are only reported on the query path; a
       // manual full clean wants the side effects (repairs + coverage),
       // not the report.
       (void)res;
     }
     ++epoch_;
-    RefreshDerivedState();
     DAISY_ASSIGN_OR_RETURN(ticket, LogWalLocked(persist::EncodeWalCleanAll()));
   }
   return AwaitWalTicket(ticket);
@@ -651,7 +590,6 @@ Status DaisyEngine::ImportProvenance(const std::string& table,
     DAISY_ASSIGN_OR_RETURN(Table * t, db_->GetTable(table));
     provenance_[table].MergeFrom(store, t);
     ++epoch_;
-    RefreshDerivedState();
     if (wal_ != nullptr && !wal_replay_) {
       DAISY_ASSIGN_OR_RETURN(
           ticket,
@@ -673,6 +611,13 @@ const CostModel* DaisyEngine::cost_model(const std::string& rule) const {
   ReaderLock lock(&*mu_);
   auto it = rules_.find(rule);
   return it == rules_.end() ? nullptr : &it->second.cost;
+}
+
+const ThetaJoinDetector* DaisyEngine::dc_detector(
+    const std::string& rule) const {
+  ReaderLock lock(&*mu_);
+  auto it = rules_.find(rule);
+  return it == rules_.end() ? nullptr : it->second.theta.get();
 }
 
 const ProvenanceStore* DaisyEngine::provenance(

@@ -57,7 +57,6 @@ struct DaisyOptions {
   /// serial). Results are deterministic for any value.
   size_t detect_threads = 1;
   bool use_statistics_pruning = true;
-  bool theta_pruning = true;
   /// Cost-based optimizer pass (src/plan/optimizer.h): DP join ordering
   /// and cleanσ placement between Planner lowering and execution. Off =
   /// the syntactic left-deep plan. Outputs
@@ -191,8 +190,10 @@ struct QueryReport {
 /// already-clean regions, scaling with reader threads. Every operation's
 /// result is bit-identical to a serial replay in epoch order (see
 /// QueryReport::epoch). Table writes keep the column caches current
-/// themselves, and writer sections resync detector partitions before
-/// unlocking, so shared-path readers never rebuild anything.
+/// themselves, and each ingest batch is pushed into every dependent
+/// detector (FD and DC alike) inside the writer section that applied it,
+/// so derived state is never stale and the only writers of a detector are
+/// writer sections: shared-path readers reach it through const methods.
 class DaisyEngine {
  public:
   /// `db` must outlive the engine. Constraints are moved in.
@@ -238,9 +239,10 @@ class DaisyEngine {
 
   /// Transactional ingest: appends `rows` to `table` and folds the delta
   /// into every dependent rule's state in O(delta) — FD group statistics
-  /// and dirty sets, relaxation indexes, checked coverage; general-DC rules
-  /// queue the batch for a DetectDelta pass on the next touching query, so
-  /// a post-ingest query pays new x old instead of a full re-detection.
+  /// and dirty sets, relaxation indexes, checked coverage, DC detector
+  /// coverage and partitions; general-DC rules queue the batch for a
+  /// DetectDelta pass on the next touching query, so a post-ingest query
+  /// pays new x old instead of a full re-detection.
   /// Must be called after Prepare().
   Result<TableDelta> AppendRows(const std::string& table,
                                 std::vector<std::vector<Value>> rows);
@@ -295,10 +297,10 @@ class DaisyEngine {
   /// engine is bit-identical — outputs, counters, EXPLAIN, provenance —
   /// to one that executed the same committed operations without
   /// restarting. The semantics-affecting options (mode, accuracy
-  /// threshold, partitions, pruning switches) are adopted from the
-  /// snapshot so the replay runs under the config that produced the log;
-  /// only `options`' perf knobs (thread counts, group commit) take
-  /// effect.
+  /// threshold, partitions, statistics pruning, optimizer) are adopted
+  /// from the snapshot so the replay runs under the config that produced
+  /// the log; only `options`' perf knobs (thread counts, group commit)
+  /// take effect.
   /// Open also sweeps orphaned `*.tmp` files (leftovers of an atomic
   /// write that crashed before its rename) from the directory. All file
   /// operations of the opened engine go through `env` (null = the real
@@ -363,6 +365,8 @@ class DaisyEngine {
   const ConstraintSet& constraints() const { return constraints_; }
   const Statistics& statistics() const { return statistics_; }
   const CostModel* cost_model(const std::string& rule) const;
+  /// The general-DC rule's detector (null for FD rules or unknown names).
+  const ThetaJoinDetector* dc_detector(const std::string& rule) const;
   const ProvenanceStore* provenance(const std::string& table) const;
   Database* database() { return db_; }
   const DaisyOptions& options() const { return options_; }
@@ -381,19 +385,19 @@ class DaisyEngine {
   Status ApplyDeltaToRules(const std::string& table_name,
                            const TableDelta& delta) DAISY_REQUIRES(*mu_);
   Result<Plan> MakePlan(const SelectStmt& stmt) DAISY_REQUIRES_SHARED(*mu_);
+  /// The query protocol behind Query and ExplainAnalyze: shared-path
+  /// attempt, writer re-plan, epoch slot, WAL record (never for a cut
+  /// query) and the durability wait. A non-null `trace` receives the
+  /// executed plan's ExplainWithTrace rendering.
   Result<QueryReport> QueryWithLimits(const SelectStmt& stmt,
-                                      const QueryLimits& limits);
+                                      const QueryLimits& limits,
+                                      std::string* trace = nullptr);
   /// Executes `plan` and assembles the report (caller holds mu_ in the
   /// matching mode; a shared hold suffices — writer callers hold it
-  /// exclusively, which implies shared).
+  /// exclusively, which implies shared). Renders into a non-null `trace`.
   Result<QueryReport> ExecutePlanLocked(Plan* plan, bool read_path,
-                                        uint64_t epoch)
+                                        uint64_t epoch, std::string* trace)
       DAISY_REQUIRES_SHARED(*mu_);
-  /// Resyncs every DC detector with its table (column caches are
-  /// write-through and need no pass). Called at the end of each writer
-  /// section, before mu_ is released, so the shared read path only ever
-  /// reads fresh derived state.
-  void RefreshDerivedState() DAISY_REQUIRES(*mu_);
 
   // Persistence internals (persist/engine_persist.cc). All run with the
   // caller holding mu_ exclusively, except RestorePersistedState's WAL

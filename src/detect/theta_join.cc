@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -75,42 +76,30 @@ void ThetaJoinDetector::ResetCoverage() {
   for (RowId r = 0; r < checked_.size(); ++r) {
     if (!table_->is_live(r)) MarkRowChecked(r);
   }
-  deleted_log_pos_ = table_->deleted_rows_log().size();
   // Nothing is checked, so a plain DetectAll covers every pair — no
   // appended rows owe a separate integration pass.
   integrated_rows_ = table_->num_rows();
   maintained_.clear();
-  retractions_ = 0;
 }
 
-void ThetaJoinDetector::EnsureFresh() {
-  ColumnCache& cache = table_->columns();
-  const std::vector<size_t>& cols = dc_->involved_columns();
-  // Content change: the values an involved column exposes differ from the
-  // ones the current partitions/coverage were computed on. The cache is
-  // write-through, so that happens only with a new cache identity (the
-  // table was reassigned wholesale or an original edited, which drops the
-  // cache). Every append grows the row count, so the branches below also
-  // cover every reallocation of the arrays the compiled atoms point into.
-  if (cols_.size() != cols.size() || cache.id() != cache_id_) {
-    // Rows checked against the old values are not checked against the
-    // new; estimates and the maintained set are stale too.
-    BuildPartitions();
-    range_vio_valid_ = false;
-    ResetCoverage();
-    return;
-  }
+void ThetaJoinDetector::Rebuild() {
+  // Rows checked against the old values are not checked against the new;
+  // estimates and the maintained set are stale too.
+  BuildPartitions();
+  ResetCoverage();
+}
+
+size_t ThetaJoinDetector::ApplyDelta(const TableDelta& delta) {
   // Ingest deltas keep the coverage: appended rows join as unchecked,
   // deleted rows become trivially checked and their pairs are pruned.
-  const bool appended = checked_.size() < table_->num_rows();
-  if (appended) checked_.resize(table_->num_rows(), false);
-  const std::vector<RowId>& dlog = table_->deleted_rows_log();
-  const bool deleted = deleted_log_pos_ < dlog.size();
-  if (deleted) {
-    for (size_t i = deleted_log_pos_; i < dlog.size(); ++i) {
-      if (dlog[i] < checked_.size()) MarkRowChecked(dlog[i]);
+  if (!delta.appended.empty() && checked_.size() <= delta.appended.back()) {
+    checked_.resize(delta.appended.back() + 1, false);
+  }
+  size_t retracted = 0;
+  if (!delta.deleted.empty()) {
+    for (RowId r : delta.deleted) {
+      if (r < checked_.size()) MarkRowChecked(r);
     }
-    deleted_log_pos_ = dlog.size();
     auto dead = [&](const ViolationPair& p) {
       return !table_->is_live(p.t1) || !table_->is_live(p.t2);
     };
@@ -118,12 +107,17 @@ void ThetaJoinDetector::EnsureFresh() {
     maintained_.erase(
         std::remove_if(maintained_.begin(), maintained_.end(), dead),
         maintained_.end());
-    retractions_ += before - maintained_.size();
+    retracted = before - maintained_.size();
   }
-  if (appended || deleted) {
-    BuildPartitions();
-    range_vio_valid_ = false;
-  }
+  // Every append may have reallocated the arrays the compiled atoms point
+  // into, and every delete changes the live rows the partitions hold.
+  if (!delta.empty()) BuildPartitions();
+  return retracted;
+}
+
+void ThetaJoinDetector::AssertToldOfAppends() const {
+  assert(checked_.size() == table_->num_rows() &&
+         "ThetaJoinDetector missed an ApplyDelta for an append");
 }
 
 void ThetaJoinDetector::MergeIntoMaintained(
@@ -144,34 +138,19 @@ void ThetaJoinDetector::MergeIntoMaintained(
                     maintained_.end());
 }
 
-const std::vector<ViolationPair>& ThetaJoinDetector::maintained_violations() {
-  EnsureFresh();
-  return maintained_;
-}
-
-size_t ThetaJoinDetector::ConsumeRetractions() {
-  EnsureFresh();
-  const size_t count = retractions_;
-  retractions_ = 0;
-  return count;
-}
-
-ThetaPersistState ThetaJoinDetector::ExportState() {
-  EnsureFresh();
+ThetaPersistState ThetaJoinDetector::ExportState() const {
   ThetaPersistState state;
   state.checked.reserve(checked_.size());
   for (bool b : checked_) state.checked.push_back(b ? 1 : 0);
   state.integrated_rows = integrated_rows_;
-  state.deleted_log_pos = deleted_log_pos_;
-  state.retractions = retractions_;
+  state.deleted_log_pos = table_->num_rows() - table_->num_live_rows();
   state.maintained = maintained_;
   return state;
 }
 
 Status ThetaJoinDetector::ImportState(const ThetaPersistState& state) {
-  // Partitions / compiled atoms first: after this the detector is fresh
-  // against the restored table, with a blank coverage we overwrite below.
-  EnsureFresh();
+  // The constructor built the partitions and compiled atoms over the
+  // restored table; only the coverage is installed here.
   if (state.checked.size() != table_->num_rows()) {
     return Status::InvalidArgument(
         "theta state for " + dc_->name() + " covers " +
@@ -179,7 +158,8 @@ Status ThetaJoinDetector::ImportState(const ThetaPersistState& state) {
         table_->name() + " has " + std::to_string(table_->num_rows()));
   }
   if (state.integrated_rows > table_->num_rows() ||
-      state.deleted_log_pos != table_->deleted_rows_log().size()) {
+      state.deleted_log_pos != table_->num_rows() - table_->num_live_rows() ||
+      state.retractions != 0) {
     return Status::InvalidArgument("theta state for " + dc_->name() +
                                    " does not match the table's ingest log");
   }
@@ -195,17 +175,13 @@ Status ThetaJoinDetector::ImportState(const ThetaPersistState& state) {
     if (state.checked[r] != 0) MarkRowChecked(r);
   }
   integrated_rows_ = state.integrated_rows;
-  deleted_log_pos_ = state.deleted_log_pos;
-  retractions_ = state.retractions;
   maintained_ = state.maintained;
-  range_vio_valid_ = false;
   return Status::OK();
 }
 
 void ThetaJoinDetector::BuildPartitions() {
   ColumnCache& cache = table_->columns();
   const std::vector<size_t>& cols = dc_->involved_columns();
-  cache_id_ = cache.id();
   cols_.clear();
   for (size_t c : cols) cols_.push_back(&cache.column(c));
   sort_slot_ = static_cast<size_t>(
@@ -242,6 +218,7 @@ void ThetaJoinDetector::BuildPartitions() {
     boundaries_.push_back(std::move(part));
   }
   range_index_built_ = false;
+  range_vio_valid_ = false;
   CompileAtoms(cache);
 }
 
@@ -466,14 +443,14 @@ void ThetaJoinDetector::ScanCell(size_t i, size_t j,
 }
 
 std::vector<ViolationPair> ThetaJoinDetector::DetectAll() {
-  EnsureFresh();
+  AssertToldOfAppends();
   pairs_checked_ = 0;
   partitions_pruned_ = 0;
 
-  // Integrate stray appends first (rows added through the plain Table API
-  // with no DetectDelta call): the cell scan below skips pairs with a
-  // checked endpoint, so the new x checked-old pairs must be paid here or
-  // they would be lost forever once everything is marked checked.
+  // Integrate applied appends no DetectDelta paid for first: the cell scan
+  // below skips pairs with a checked endpoint, so the new x checked-old
+  // pairs must be paid here or they would be lost forever once everything
+  // is marked checked.
   std::vector<ViolationPair> drained = DrainAppends(checked_.size());
 
   // Surviving matrix cells of the upper triangle, in deterministic order.
@@ -525,11 +502,11 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectAll() {
 
 std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
     const std::vector<RowId>& result_rows) {
-  EnsureFresh();
+  AssertToldOfAppends();
   pairs_checked_ = 0;
   partitions_pruned_ = 0;
-  // Stray appends integrate first (see DetectAll): after this, result rows
-  // from the new range are checked and take the fast skip below.
+  // Un-integrated appends drain first (see DetectAll): after this, result
+  // rows from the new range are checked and take the fast skip below.
   std::vector<ViolationPair> out = DrainAppends(checked_.size());
   if (result_rows.empty()) return out;
 
@@ -587,7 +564,7 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
 
 std::vector<ViolationPair> ThetaJoinDetector::DetectDelta(
     const TableDelta& delta) {
-  EnsureFresh();
+  AssertToldOfAppends();
   pairs_checked_ = 0;
   partitions_pruned_ = 0;
   const RowId end = delta.appended.empty() ? integrated_rows_
@@ -696,7 +673,6 @@ void ThetaJoinDetector::BuildRangeIndex() {
 }
 
 const std::vector<double>& ThetaJoinDetector::EstimateErrors() {
-  EnsureFresh();
   if (range_vio_valid_) return range_vio_;
   if (!range_index_built_) BuildRangeIndex();
   const size_t p = boundaries_.size();
@@ -812,24 +788,6 @@ double ThetaJoinDetector::Support() const {
     }
   }
   return total == 0 ? 1.0 : static_cast<double>(done) / static_cast<double>(total);
-}
-
-bool ThetaJoinDetector::FullyChecked() {
-  EnsureFresh();
-  return checked_count_ == checked_.size();
-}
-
-bool ThetaJoinDetector::QuiescentForReaders() const {
-  // Mirrors EnsureFresh's staleness checks without acting on them: any
-  // condition that would make EnsureFresh rebuild or resync means a writer
-  // pass is owed, so the reader path must not be taken.
-  const std::vector<size_t>& cols = dc_->involved_columns();
-  if (cols_.size() != cols.size() || table_->columns().id() != cache_id_) {
-    return false;
-  }
-  if (checked_.size() != table_->num_rows()) return false;
-  if (deleted_log_pos_ != table_->deleted_rows_log().size()) return false;
-  return checked_count_ == checked_.size();
 }
 
 }  // namespace daisy

@@ -28,26 +28,27 @@
 // Partition pruning reads the same projections and stays conservative:
 // order atoms prune only on numeric slots, strictly only on exact ones.
 //
-// The cache is write-through (storage/column_cache.h), so the detector
-// only checks the cache's id() on every public entry: a new id means an
-// original value was edited (or the table reassigned), which rebuilds the
-// partitions and resets the checked-row coverage (the old coverage was
-// computed on different data); repairs attach candidates only, never touch
-// the cache's value arrays, and keep both.
-//
-// Ingest deltas are cheaper than content changes: appended rows extend the
-// coverage vector as unchecked and only the partitions are rebuilt (from
-// the incrementally-maintained cache sorted index — no re-sort); deleted
-// rows are dropped from the partitions, marked trivially checked, and
-// pruned from the maintained violation set. Appended rows are *integrated*
-// in arrival order — exactly new x preexisting + new x new pairs, at a
-// fraction of a full re-detection — either explicitly through
+// Ingest deltas are pushed, not polled: the engine hands every TableDelta
+// on the detector's table to ApplyDelta in the writer section that applied
+// it, exactly like FdDeltaDetector::ApplyDelta. Appended rows join the
+// coverage as unchecked and the partitions are rebuilt from the
+// write-through cache's incrementally-maintained sorted index (no re-sort),
+// which also re-points the compiled atoms at the arrays the append grew;
+// deleted rows are dropped from the partitions, marked trivially checked,
+// and their pairs pruned from the maintained violation set. Appended rows
+// are then *integrated* in arrival order — exactly new x preexisting +
+// new x new pairs, at a fraction of a full re-detection — either through
 // DetectDelta(delta) (the engine's ingest path, which wants the found
-// violations for repair) or automatically at the start of the next
-// DetectAll/DetectIncremental (rows appended through the plain Table API
-// must not silently lose new-vs-checked-row coverage). Either way each
-// cross pair is checked exactly once and the maintained set stays
-// identical to a from-scratch DetectAll.
+// violations for repair) or at the start of the next DetectAll /
+// DetectIncremental, which drain every applied but un-integrated row
+// first. Either way each cross pair is checked exactly once and the
+// maintained set stays identical to a from-scratch DetectAll. Repairs
+// attach candidates only and owe the detector nothing; an in-place
+// original-value edit (Table::mutable_cell, or reassigning the table)
+// requires Rebuild(), which recomputes partitions and resets the coverage.
+// A detector that was not told about an append would read arrays the
+// append reallocated: the Detect* entries assert (debug builds) that the
+// detector's row count matches the table's.
 //
 // DetectAll optionally fans the surviving partition cells out over a small
 // thread pool. Results are merged in cell order, so the violation vector is
@@ -106,8 +107,8 @@ bool RangeFeasible(double lmin, double lmax, CompareOp op, double rmin,
 struct ThetaPersistState {
   std::vector<uint8_t> checked;  ///< one byte per row, 1 = cross-checked
   uint64_t integrated_rows = 0;
-  uint64_t deleted_log_pos = 0;
-  uint64_t retractions = 0;
+  uint64_t deleted_log_pos = 0;  ///< table tombstones the state reflects
+  uint64_t retractions = 0;      ///< always 0 (kept for the snapshot format)
   std::vector<ViolationPair> maintained;
 };
 
@@ -122,6 +123,21 @@ class ThetaJoinDetector {
   ThetaJoinDetector(const Table* table, const DenialConstraint* dc,
                     size_t partitions = 16, size_t threads = 1);
 
+  /// Folds one ingest batch on the table into the detector (see the file
+  /// comment): appended rows join the coverage as unchecked, deleted rows
+  /// are marked checked and their pairs pruned from the maintained set,
+  /// and the partitions are rebuilt. Must be called for every batch, in
+  /// order, before any other call reads the table's new state. Returns the
+  /// number of maintained pairs the deletions retracted — the engine's
+  /// signal that repairs derived from the retracted evidence must be
+  /// re-derived from the surviving maintained_violations().
+  size_t ApplyDelta(const TableDelta& delta);
+
+  /// Recomputes partitions and compiled atoms from the table and resets
+  /// the coverage (everything unchecked but tombstones, maintained set
+  /// empty). Needed only after an in-place original-value edit.
+  void Rebuild();
+
   /// Checks the full upper-triangle matrix (both tuple orientations per
   /// pair) with partition pruning. Marks every row checked. The result is
   /// deterministic and independent of the thread count.
@@ -134,36 +150,27 @@ class ThetaJoinDetector {
   std::vector<ViolationPair> DetectIncremental(
       const std::vector<RowId>& result_rows);
 
-  /// Delta detection: integrates every live appended row up to the end of
-  /// this batch (earlier un-integrated arrivals first, in order), checking
-  /// each against every preexisting row (checked or not) and against each
-  /// other — exactly new x old + new x new pairs — then marks them
-  /// checked, restoring the "checked means cross-checked against every
-  /// row" invariant the appends broke. Returns the new violations (both
-  /// orientations, like DetectAll) and folds them into
-  /// maintained_violations(). Already-integrated or deleted batch rows
-  /// are skipped, so re-feeding a delta is a no-op.
+  /// Delta detection (after ApplyDelta): integrates every live appended
+  /// row up to the end of this batch (earlier un-integrated arrivals
+  /// first, in order), checking each against every preexisting row
+  /// (checked or not) and against each other — exactly new x old + new x
+  /// new pairs — then marks them checked, restoring the "checked means
+  /// cross-checked against every row" invariant the appends broke.
+  /// Returns the new violations (both orientations, like DetectAll) and
+  /// folds them into maintained_violations(). Already-integrated or
+  /// deleted batch rows are skipped, so re-feeding a delta is a no-op.
   std::vector<ViolationPair> DetectDelta(const TableDelta& delta);
 
   /// The violation set maintained across DetectAll / DetectIncremental /
   /// DetectDelta calls, sorted by (t1, t2): every violating pair whose
   /// endpoints are both covered (pairs touching deleted rows are pruned).
   /// After full coverage it equals a from-scratch DetectAll, bit for bit.
-  const std::vector<ViolationPair>& maintained_violations();
+  const std::vector<ViolationPair>& maintained_violations() const {
+    return maintained_;
+  }
 
-  /// Size of the maintained set *without* syncing retractions first — a
-  /// pure read for plan-time cardinality estimation (the estimator runs
-  /// under the engine's shared lock, where a sync's mutation would race
-  /// other readers). May overcount by pairs whose deletion has not been
-  /// folded in yet; writers sync before unlocking, so the slack is
-  /// bounded by the current writer section.
+  /// Size of the maintained set (plan-time cardinality estimation).
   size_t maintained_violation_count() const { return maintained_.size(); }
-
-  /// Number of pairs deletions pruned from the maintained set since the
-  /// last call (syncs first). The engine uses a non-zero result as the
-  /// signal that repairs derived from the retracted evidence must be
-  /// re-derived from the surviving maintained_violations().
-  size_t ConsumeRetractions();
 
   /// Algorithm 2, Estimate_Errors: per-partition estimated violation counts
   /// derived from boundary-range overlaps. Index = partition id.
@@ -178,22 +185,9 @@ class ThetaJoinDetector {
   /// (Algorithm 2 line 7).
   double Support() const;
 
-  /// True once every live row is marked checked (syncs with pending table
-  /// deltas first, so freshly appended rows count as unchecked).
-  bool FullyChecked();
-
-  /// Syncs the detector with the table/cache state (the EnsureFresh pass
-  /// every public entry runs). The engine's writer sections call this
-  /// before releasing the exclusive lock so shared-path readers find the
-  /// detector fresh and never mutate it.
-  void Refresh() { EnsureFresh(); }
-
-  /// Non-mutating probe for the engine's shared read path: true when the
-  /// detector is fresh (no new cache, append, or delete pending) AND
-  /// every row is checked — i.e. any Detect*/FullyChecked call in the
-  /// current state would be a pure read. Conservatively false whenever a
-  /// writer pass would have work to do.
-  bool QuiescentForReaders() const;
+  /// True once every live row is marked checked (appended rows count as
+  /// unchecked from their ApplyDelta on).
+  bool FullyChecked() const { return checked_count_ == checked_.size(); }
 
   size_t num_partitions() const { return boundaries_.size(); }
 
@@ -201,25 +195,21 @@ class ThetaJoinDetector {
   size_t pairs_checked() const { return pairs_checked_; }
   size_t partitions_pruned() const { return partitions_pruned_; }
 
-  /// Disables partition pruning (ablation switch for benches). Written
-  /// conditionally: concurrent quiescent readers re-apply the value already
-  /// set, which must not count as a write.
-  void set_pruning_enabled(bool enabled) {
-    if (pruning_enabled_ != enabled) pruning_enabled_ = enabled;
-  }
+  /// Disables partition pruning: the unpruned oracle of the tests and the
+  /// pruning ablation of the operator micro-bench.
+  void set_pruning_enabled(bool enabled) { pruning_enabled_ = enabled; }
 
-  /// DetectAll worker-pool size; clamped to at least 1.
-  void set_threads(size_t threads) { threads_ = threads == 0 ? 1 : threads; }
-
-  /// Captures the coverage state for a snapshot (syncs with the table
-  /// first, so pending deltas are folded in before the copy).
-  ThetaPersistState ExportState();
+  /// Captures the coverage state for a snapshot. `deleted_log_pos` is the
+  /// table's tombstone count and `retractions` is 0: every delete's
+  /// retractions are consumed in the writer section that applied it.
+  ThetaPersistState ExportState() const;
 
   /// Restores a previously exported coverage state onto a detector freshly
-  /// constructed over the snapshotted table. The partitions and compiled
-  /// atoms are rebuilt from the live table; only the coverage, the
-  /// integration watermarks, and the maintained violation set are
-  /// installed. Fails if the state does not match the table's dimensions.
+  /// constructed over the snapshotted table (the constructor built the
+  /// partitions and compiled atoms); only the coverage, the
+  /// integration watermark, and the maintained violation set are
+  /// installed. Fails if the state does not match the table's dimensions
+  /// or ingest history, or carries unconsumed retractions.
   Status ImportState(const ThetaPersistState& state);
 
  private:
@@ -264,13 +254,14 @@ class ThetaJoinDetector {
     size_t atom_index = 0;  ///< kRow: index into dc_->atoms()
   };
 
-  void EnsureFresh();
-  /// Coverage reset shared by the constructor and the content-change path:
-  /// everything unchecked except tombstones, delete log consumed, no rows
-  /// owing an integration pass, maintained set empty.
+  /// Coverage reset shared by the constructor and Rebuild: everything
+  /// unchecked except tombstones, no rows owing an integration pass,
+  /// maintained set empty.
   void ResetCoverage();
+  /// Debug-build check that every append was pushed through ApplyDelta.
+  void AssertToldOfAppends() const;
   /// Every checked_ write goes through here so checked_count_ stays exact
-  /// (QuiescentForReaders answers full coverage in O(1) on the read path).
+  /// (FullyChecked answers full coverage in O(1) on the read path).
   void MarkRowChecked(RowId r) {
     if (!checked_[r]) {
       checked_[r] = true;
@@ -313,19 +304,13 @@ class ThetaJoinDetector {
   /// Violations among covered rows, sorted by (t1, t2); see
   /// maintained_violations().
   std::vector<ViolationPair> maintained_;
-  /// Pairs deletions pruned from maintained_ since ConsumeRetractions.
-  size_t retractions_ = 0;
-  /// Prefix of the table's deleted-rows log already folded into the state.
-  size_t deleted_log_pos_ = 0;
   /// Rows below this id are integrated: cross-checked against the checked
   /// set (or known-unchecked). Rows at or above arrived later and still
   /// owe their new x old pass.
   RowId integrated_rows_ = 0;
 
-  // Flat-array state, rebuilt whenever the cache identity moves or the
-  // table's rows change (see EnsureFresh). cols_ is indexed by
-  // involved-column slot.
-  uint64_t cache_id_ = 0;
+  // Flat-array state, rebuilt by every ApplyDelta and Rebuild. cols_ is
+  // indexed by involved-column slot.
   std::vector<const ColumnCache::Column*> cols_;
   std::vector<CompiledAtom> compiled_;
   bool range_index_built_ = false;

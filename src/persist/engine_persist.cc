@@ -78,7 +78,7 @@ Result<persist::GroupCommitQueue::TicketPtr> DaisyEngine::LogWalLocked(
     // hands back an already-failed ticket; AwaitWalTicket degrades.
     return wal_queue_->Enqueue(payload);
   }
-  const Status appended = wal_->Append(payload);
+  const Status appended = wal_->AppendBatch({payload});
   // The operation already applied in memory; only its durability failed.
   // Degrade instead of fail-stopping: reads keep serving the (intact)
   // in-memory state, writers are rejected until TryRecover() re-arms
@@ -139,7 +139,6 @@ Status DaisyEngine::WriteSnapshotLocked(const std::string& path) {
   view.options.accuracy_threshold = options_.accuracy_threshold;
   view.options.theta_partitions = options_.theta_partitions;
   view.options.use_statistics_pruning = options_.use_statistics_pruning;
-  view.options.theta_pruning = options_.theta_pruning;
   view.options.optimizer = options_.optimizer;
   for (const std::string& name : db_->TableNames()) {
     DAISY_ASSIGN_OR_RETURN(const Table* table,
@@ -351,7 +350,6 @@ Status DaisyEngine::RestoreEngineState(const persist::EngineSnapshot& snap) {
     provenance_[table].RestoreRecords(records);
   }
   epoch_ = snap.epoch;
-  RefreshDerivedState();
   return Status::OK();
 }
 
@@ -428,7 +426,6 @@ Result<std::unique_ptr<DaisyEngine>> DaisyEngine::Open(const std::string& dir,
   options.accuracy_threshold = snap.options.accuracy_threshold;
   options.theta_partitions = snap.options.theta_partitions;
   options.use_statistics_pruning = snap.options.use_statistics_pruning;
-  options.theta_pruning = snap.options.theta_pruning;
   options.optimizer = snap.options.optimizer;
   auto engine =
       std::make_unique<DaisyEngine>(db, std::move(constraints), options);

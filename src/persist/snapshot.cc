@@ -499,7 +499,9 @@ Status WriteSnapshot(const std::string& path,
     w.WriteDouble(view.options.accuracy_threshold);
     w.WriteU64(view.options.theta_partitions);
     w.WriteU8(view.options.use_statistics_pruning ? 1 : 0);
-    w.WriteU8(view.options.theta_pruning ? 1 : 0);
+    // Retired partition-pruning flag: always 1. Pruning is conservative,
+    // so no persisted state ever depended on it.
+    w.WriteU8(1);
     w.WriteU8(view.options.optimizer ? 1 : 0);  // v2
     AppendSection(kSectionMeta, w.buffer(), &bytes);
   }
@@ -599,8 +601,8 @@ Result<EngineSnapshot> ReadSnapshot(const std::string& path, Env* env) {
                                section.ReadU64());
         DAISY_ASSIGN_OR_RETURN(uint8_t pruning, section.ReadU8());
         snap.options.use_statistics_pruning = pruning != 0;
-        DAISY_ASSIGN_OR_RETURN(uint8_t theta_pruning, section.ReadU8());
-        snap.options.theta_pruning = theta_pruning != 0;
+        // Retired partition-pruning flag: accepted and ignored.
+        DAISY_RETURN_IF_ERROR(section.ReadU8().status());
         if (version >= 2) {
           DAISY_ASSIGN_OR_RETURN(uint8_t optimizer, section.ReadU8());
           snap.options.optimizer = optimizer != 0;

@@ -58,7 +58,6 @@ struct PersistedEngineOptions {
   double accuracy_threshold = 0.5;
   uint64_t theta_partitions = 16;
   bool use_statistics_pruning = true;
-  bool theta_pruning = true;
   /// v2+: cost-based optimizer (cleanσ placement changes which rows a WAL
   /// query marks checked, so replay must run under the same flag). v1
   /// snapshots default it to true, the engine default.

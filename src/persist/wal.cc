@@ -313,23 +313,6 @@ struct WalMetrics {
 
 }  // namespace
 
-Status WalWriter::Append(const std::string& payload) {
-  std::string bytes;
-  DAISY_RETURN_IF_ERROR(AppendFramed(&bytes, payload));
-  DAISY_RETURN_IF_ERROR(file_->Append(bytes));
-  DAISY_RETURN_IF_ERROR(file_->Sync());
-  stats_.records += 1;
-  stats_.batches += 1;
-  stats_.syncs += 1;
-  stats_.max_batch_records = std::max<uint64_t>(stats_.max_batch_records, 1);
-  WalMetrics& m = WalMetrics::Get();
-  m.records->Increment();
-  m.batches->Increment();
-  m.fsyncs->Increment();
-  m.batch_records->Observe(1);
-  return Status::OK();
-}
-
 Status WalWriter::AppendBatch(const std::vector<std::string>& payloads) {
   if (payloads.empty()) return Status::OK();
   std::string bytes;

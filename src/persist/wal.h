@@ -69,16 +69,16 @@ Result<WalRecord> DecodeWalRecord(const std::string& payload);
 /// concurrent writers.
 struct WalCommitStats {
   uint64_t records = 0;  ///< framed records appended
-  uint64_t batches = 0;  ///< Append/AppendBatch calls that reached the file
+  uint64_t batches = 0;  ///< AppendBatch calls that reached the file
   uint64_t syncs = 0;    ///< fsyncs issued
   uint64_t max_batch_records = 0;
 };
 
-/// Append-side handle over one WAL file. Every Append is a single write
-/// of the framed record followed by fsync — when it returns OK the record
-/// survives a crash in full. AppendBatch amortizes: all frames in one
-/// write, one fsync for the lot. All file operations go through the given
-/// Env (persist/env.h; null = Env::Default()).
+/// Append-side handle over one WAL file. Every AppendBatch is a single
+/// write of the framed records followed by one fsync — when it returns OK
+/// every record survives a crash in full. A single record is a batch of
+/// one. All file operations go through the given Env (persist/env.h; null
+/// = Env::Default()).
 ///
 /// Not thread-safe — callers serialize (the engine either holds its writer
 /// lock or funnels through the group-commit queue's single leader).
@@ -97,15 +97,18 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  Status Append(const std::string& payload);
-
   /// Appends every payload as its own framed record in one write() and
   /// issues a single Sync() for the whole batch. On OK, *all* records are
   /// durable; on failure none may be treated as durable (the file may hold
   /// a torn multi-record tail that ReadWal's prefix rule discards frame by
-  /// frame). Equivalent to Append for a batch of one — same Env call
-  /// sequence, so fault-schedule indices line up across both paths.
+  /// frame). Every batch size makes the same Env call sequence (one
+  /// Append, one Sync), so fault-schedule indices do not depend on it.
   Status AppendBatch(const std::vector<std::string>& payloads);
+
+  /// AppendBatch of one record. The library appends through AppendBatch
+  /// only; this name stays for the end-to-end benchmark's fsync-floor
+  /// probe (e2ebench/src/main.cc).
+  Status Append(const std::string& payload) { return AppendBatch({payload}); }
 
   const std::string& path() const { return path_; }
 

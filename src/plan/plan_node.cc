@@ -229,29 +229,86 @@ Result<bool> FilterNode::NextBatch(ExecContext* ctx, RowIdBatch* out) {
 
 // ----------------------------------------------------------- CleanSelect --
 
-CleanSelectNode::CleanSelectNode(Table* table, const DenialConstraint* dc,
-                                 CleanSelect* op, CostModel* cost,
-                                 const FdRuleStats* rule_stats,
-                                 const Expr* filter, CleaningOptions options,
-                                 bool adaptive,
+std::string CleanRuleStep::Label() const {
+  return "CleanSelect [rule=" + dc->name() + (dc->IsFd() ? " fd" : " dc") +
+         "]" + (adaptive ? " [adaptive]" : "") +
+         (deferred ? " [deferred]" : "");
+}
+
+Result<CleanSelectResult> CleanRuleStep::Run(PlanNode* node, ExecContext* ctx,
+                                             const std::vector<RowId>& rows,
+                                             bool* switched) const {
+  // Per-rule boundary: a rule's Run is all-or-nothing, so cutting here —
+  // after the input was materialized but before this rule cleaned — leaves
+  // the cleaning state exactly the prefix of rules that ran before it.
+  DAISY_RETURN_IF_ERROR(ctx->CheckResources(node));
+  DAISY_ASSIGN_OR_RETURN(CleanSelectResult cres,
+                         op->Run(filter, rows, options));
+
+  PlanNode::NodeStats& stats = node->stats();
+  CleaningExecStats& cs = ctx->cleaning;
+  ++cs.rules_applied;
+  if (deferred) ++cs.rules_deferred;
+  if (cres.pruned) {
+    ++cs.rules_pruned;
+    stats.pruned = true;
+  }
+  cs.extra_tuples += cres.extra_tuples;
+  cs.errors_fixed += cres.errors_fixed;
+  cs.tuples_scanned += cres.tuples_scanned;
+  cs.detect_ops += cres.detect_ops;
+  cs.delta_rows_checked += cres.delta_rows_checked;
+  stats.delta_rows_checked = cres.delta_rows_checked;
+  cs.used_dc_full_clean |= cres.used_full_clean;
+  cs.min_estimated_accuracy =
+      std::min(cs.min_estimated_accuracy, cres.estimated_accuracy);
+
+  // Cost-model bookkeeping and the adaptive switch (Section 5.2.3). Pruned
+  // invocations did no relaxation/repair work and accrue no incremental
+  // cost. The planner armed `adaptive` at construction; the trigger itself
+  // is inherently data-dependent.
+  const double width =
+      rule_stats != nullptr ? rule_stats->avg_candidates : 2.0;
+  if (!cres.pruned) {
+    QueryCostSample sample;
+    sample.dataset_size = table->num_live_rows();
+    sample.result_size = cres.final_rows.size();
+    sample.extra_size = cres.extra_tuples;
+    sample.errors = cres.errors_fixed;
+    sample.detect_ops = cres.detect_ops;
+    sample.candidate_width = width;
+    cost->RecordQuery(sample);
+  }
+  if (adaptive && !op->fully_checked()) {
+    const size_t epsilon = rule_stats != nullptr
+                               ? rule_stats->num_violating_rows
+                               : table->num_live_rows() / 10;
+    const size_t groups = rule_stats != nullptr
+                              ? rule_stats->num_violating_groups
+                              : std::max<size_t>(1, epsilon / 10);
+    if (cost->ShouldSwitchToFull(table->num_live_rows(), groups, epsilon,
+                                 width)) {
+      // The full-clean sweep is another all-or-nothing unit; re-check the
+      // budget before committing to it.
+      DAISY_RETURN_IF_ERROR(ctx->CheckResources(node));
+      DAISY_ASSIGN_OR_RETURN(CleanSelectResult fres, op->CleanRemaining());
+      cs.switched_to_full = true;
+      stats.switched_to_full = true;
+      cs.errors_fixed += fres.errors_fixed;
+      if (switched != nullptr) *switched = true;
+    }
+  }
+  return cres;
+}
+
+CleanSelectNode::CleanSelectNode(CleanRuleStep step,
                                  std::unique_ptr<PlanNode> child)
-    : RowSetNode(Kind::kCleanSelect),
-      table_(table),
-      dc_(dc),
-      op_(op),
-      cost_(cost),
-      rule_stats_(rule_stats),
-      filter_(filter),
-      options_(options),
-      adaptive_(adaptive) {
+    : RowSetNode(Kind::kCleanSelect), step_(step) {
   child_rows_ = static_cast<RowSetNode*>(child.get());
   children_.push_back(std::move(child));
 }
 
-std::string CleanSelectNode::Label() const {
-  return "CleanSelect [rule=" + dc_->name() + (dc_->IsFd() ? " fd" : " dc") +
-         "]" + (adaptive_ ? " [adaptive]" : "");
-}
+std::string CleanSelectNode::Label() const { return step_.Label(); }
 
 Status CleanSelectNode::Open(ExecContext* ctx) {
   NodeStatsTimer timer(&stats_.open_us);
@@ -259,70 +316,16 @@ Status CleanSelectNode::Open(ExecContext* ctx) {
   pos_ = 0;
   DAISY_ASSIGN_OR_RETURN(std::vector<RowId> rows, child_rows_->Drain(ctx));
   stats_.rows_in = rows.size();
-
-  // Per-rule boundary: a rule's Run is all-or-nothing, so cutting here —
-  // after the child drained but before this rule cleaned — leaves the
-  // cleaning state exactly the prefix of rules below this node.
-  DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
+  bool switched = false;
   DAISY_ASSIGN_OR_RETURN(CleanSelectResult cres,
-                         op_->Run(filter_, rows, options_));
-  rows = cres.final_rows;
-
-  CleaningExecStats& cs = ctx->cleaning;
-  ++cs.rules_applied;
-  if (cres.pruned) {
-    ++cs.rules_pruned;
-    stats_.pruned = true;
+                         step_.Run(this, ctx, rows, &switched));
+  if (switched) {
+    // Recompute the qualifying rows over the now-clean table.
+    DAISY_ASSIGN_OR_RETURN(rows_, FilterRows(*step_.table, step_.filter,
+                                             step_.table->AllRowIds()));
+  } else {
+    rows_ = std::move(cres.final_rows);
   }
-  cs.extra_tuples += cres.extra_tuples;
-  cs.errors_fixed += cres.errors_fixed;
-  cs.tuples_scanned += cres.tuples_scanned;
-  cs.detect_ops += cres.detect_ops;
-  cs.delta_rows_checked += cres.delta_rows_checked;
-  stats_.delta_rows_checked = cres.delta_rows_checked;
-  cs.used_dc_full_clean |= cres.used_full_clean;
-  cs.min_estimated_accuracy =
-      std::min(cs.min_estimated_accuracy, cres.estimated_accuracy);
-
-  // Cost-model bookkeeping and the adaptive switch (Section 5.2.3). Pruned
-  // invocations did no relaxation/repair work and accrue no incremental
-  // cost. The planner armed `adaptive_` at construction; the trigger itself
-  // is inherently data-dependent.
-  const double width =
-      rule_stats_ != nullptr ? rule_stats_->avg_candidates : 2.0;
-  if (!cres.pruned) {
-    QueryCostSample sample;
-    sample.dataset_size = table_->num_live_rows();
-    sample.result_size = rows.size();
-    sample.extra_size = cres.extra_tuples;
-    sample.errors = cres.errors_fixed;
-    sample.detect_ops = cres.detect_ops;
-    sample.candidate_width = width;
-    cost_->RecordQuery(sample);
-  }
-  if (adaptive_ && !op_->fully_checked()) {
-    const size_t epsilon = rule_stats_ != nullptr
-                               ? rule_stats_->num_violating_rows
-                               : table_->num_live_rows() / 10;
-    const size_t groups = rule_stats_ != nullptr
-                              ? rule_stats_->num_violating_groups
-                              : std::max<size_t>(1, epsilon / 10);
-    if (cost_->ShouldSwitchToFull(table_->num_live_rows(), groups, epsilon,
-                                  width)) {
-      // The full-clean sweep is another all-or-nothing unit; re-check the
-      // budget before committing to it.
-      DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-      DAISY_ASSIGN_OR_RETURN(CleanSelectResult fres,
-                             op_->CleanRemaining(options_));
-      cs.switched_to_full = true;
-      stats_.switched_to_full = true;
-      cs.errors_fixed += fres.errors_fixed;
-      // Recompute the qualifying rows over the now-clean table.
-      DAISY_ASSIGN_OR_RETURN(rows,
-                             FilterRows(*table_, filter_, table_->AllRowIds()));
-    }
-  }
-  rows_ = std::move(rows);
   return Status::OK();
 }
 
@@ -557,30 +560,11 @@ Result<std::vector<JoinedRow>> HashJoinNode::ExecuteJoined(ExecContext* ctx) {
 
 // ----------------------------------------------------------- CleanJoined --
 
-CleanJoinedNode::CleanJoinedNode(Table* table, size_t table_idx,
-                                 const DenialConstraint* dc, CleanSelect* op,
-                                 CostModel* cost,
-                                 const FdRuleStats* rule_stats,
-                                 const Expr* filter, CleaningOptions options,
-                                 bool adaptive,
+CleanJoinedNode::CleanJoinedNode(CleanRuleStep step, size_t table_idx,
                                  std::unique_ptr<PlanNode> child)
-    : JoinSourceNode(Kind::kCleanSelect),
-      table_(table),
-      table_idx_(table_idx),
-      dc_(dc),
-      op_(op),
-      cost_(cost),
-      rule_stats_(rule_stats),
-      filter_(filter),
-      options_(options),
-      adaptive_(adaptive) {
+    : JoinSourceNode(Kind::kCleanSelect), step_(step), table_idx_(table_idx) {
   child_join_ = static_cast<JoinSourceNode*>(child.get());
   children_.push_back(std::move(child));
-}
-
-std::string CleanJoinedNode::Label() const {
-  return "CleanSelect [rule=" + dc_->name() + (dc_->IsFd() ? " fd" : " dc") +
-         "]" + (adaptive_ ? " [adaptive]" : "") + " [deferred]";
 }
 
 Result<std::vector<JoinedRow>> CleanJoinedNode::ExecuteJoined(
@@ -600,61 +584,11 @@ Result<std::vector<JoinedRow>> CleanJoinedNode::ExecuteJoined(
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
 
-  // Same per-rule boundary + bookkeeping as the in-chain CleanSelectNode.
-  DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-  DAISY_ASSIGN_OR_RETURN(CleanSelectResult cres,
-                         op_->Run(filter_, rows, options_));
-
-  CleaningExecStats& cs = ctx->cleaning;
-  ++cs.rules_applied;
-  ++cs.rules_deferred;
-  if (cres.pruned) {
-    ++cs.rules_pruned;
-    stats_.pruned = true;
-  }
-  cs.extra_tuples += cres.extra_tuples;
-  cs.errors_fixed += cres.errors_fixed;
-  cs.tuples_scanned += cres.tuples_scanned;
-  cs.detect_ops += cres.detect_ops;
-  cs.delta_rows_checked += cres.delta_rows_checked;
-  stats_.delta_rows_checked = cres.delta_rows_checked;
-  cs.used_dc_full_clean |= cres.used_full_clean;
-  cs.min_estimated_accuracy =
-      std::min(cs.min_estimated_accuracy, cres.estimated_accuracy);
-
-  const double width =
-      rule_stats_ != nullptr ? rule_stats_->avg_candidates : 2.0;
-  if (!cres.pruned) {
-    QueryCostSample sample;
-    sample.dataset_size = table_->num_live_rows();
-    sample.result_size = cres.final_rows.size();
-    sample.extra_size = cres.extra_tuples;
-    sample.errors = cres.errors_fixed;
-    sample.detect_ops = cres.detect_ops;
-    sample.candidate_width = width;
-    cost_->RecordQuery(sample);
-  }
-  if (adaptive_ && !op_->fully_checked()) {
-    const size_t epsilon = rule_stats_ != nullptr
-                               ? rule_stats_->num_violating_rows
-                               : table_->num_live_rows() / 10;
-    const size_t groups = rule_stats_ != nullptr
-                              ? rule_stats_->num_violating_groups
-                              : std::max<size_t>(1, epsilon / 10);
-    if (cost_->ShouldSwitchToFull(table_->num_live_rows(), groups, epsilon,
-                                  width)) {
-      DAISY_RETURN_IF_ERROR(ctx->CheckResources(this));
-      DAISY_ASSIGN_OR_RETURN(CleanSelectResult fres,
-                             op_->CleanRemaining(options_));
-      cs.switched_to_full = true;
-      stats_.switched_to_full = true;
-      cs.errors_fixed += fres.errors_fixed;
-      // No qualifying-row recompute here: the deferral gate guarantees the
-      // rule's repairs touch no filter or join-key column, so the joined
-      // row set is invariant under the full clean (optimizer.cc,
-      // DeferralIsExact).
-    }
-  }
+  DAISY_RETURN_IF_ERROR(step_.Run(this, ctx, rows, nullptr).status());
+  // No qualifying-row recompute after a full-clean switch: the planner's
+  // placement gate guarantees the rule's repairs touch no filter or
+  // join-key column, so the joined row set is invariant under the full
+  // clean.
 
   // The joined rows pass through unchanged — the placement gate makes them
   // invariant under this rule's repairs; the output builder above reads

@@ -283,16 +283,39 @@ class FilterNode : public RowSetNode {
   size_t parallel_pos_ = 0;
 };
 
+/// One rule's cleanσ application, shared by both placements (the in-chain
+/// CleanSelectNode and the deferred CleanJoinedNode hold one each).
+struct CleanRuleStep {
+  Table* table = nullptr;
+  const DenialConstraint* dc = nullptr;
+  CleanSelect* op = nullptr;
+  CostModel* cost = nullptr;
+  const FdRuleStats* rule_stats = nullptr;
+  const Expr* filter = nullptr;  ///< the table's predicate; nullable
+  CleaningOptions options;
+  bool adaptive = false;  ///< cost-model switch armed by the planner
+  bool deferred = false;  ///< placed above the join (CleanJoinedNode)
+
+  /// "CleanSelect [rule=<name> fd|dc]", plus " [adaptive]" when armed and
+  /// " [deferred]" above the join.
+  std::string Label() const;
+
+  /// Runs the persistent operator over `rows` (relax → detect → repair →
+  /// update) behind the per-rule resource boundary, folds its counters
+  /// (rules_deferred too, when deferred) into ctx->cleaning and `node`'s
+  /// stats, records the cost-model sample and — when armed — fires the
+  /// adaptive switch to full cleaning (Section 5.2.3), reported through a
+  /// non-null `switched`.
+  Result<CleanSelectResult> Run(PlanNode* node, ExecContext* ctx,
+                                const std::vector<RowId>& rows,
+                                bool* switched) const;
+};
+
 /// cleanσ as a plan operator: drains the child's qualifying rows, runs the
-/// persistent CleanSelect operator (relax → detect → repair → update),
-/// applies the cost-model bookkeeping and — when armed — the adaptive
-/// switch to full cleaning, then re-emits the corrected row set in batches.
+/// rule's CleanRuleStep, then re-emits the corrected row set in batches.
 class CleanSelectNode : public RowSetNode {
  public:
-  CleanSelectNode(Table* table, const DenialConstraint* dc, CleanSelect* op,
-                  CostModel* cost, const FdRuleStats* rule_stats,
-                  const Expr* filter, CleaningOptions options, bool adaptive,
-                  std::unique_ptr<PlanNode> child);
+  CleanSelectNode(CleanRuleStep step, std::unique_ptr<PlanNode> child);
 
   std::string Label() const override;
   Status Open(ExecContext* ctx) override;
@@ -309,18 +332,13 @@ class CleanSelectNode : public RowSetNode {
   /// True when Open() in the current state performs no cleaning-state
   /// mutation (see CleanSelect::quiescent) — the engine's shared read path
   /// requires it of every cleanσ node in the plan.
-  bool CleaningQuiescent() const { return op_->quiescent(); }
-  bool NodeCleaningQuiescent() const override { return op_->quiescent(); }
+  bool CleaningQuiescent() const { return step_.op->quiescent(); }
+  bool NodeCleaningQuiescent() const override {
+    return step_.op->quiescent();
+  }
 
  private:
-  Table* table_;
-  const DenialConstraint* dc_;
-  CleanSelect* op_;
-  CostModel* cost_;
-  const FdRuleStats* rule_stats_;
-  const Expr* filter_;  ///< the table's predicate; nullable
-  CleaningOptions options_;
-  bool adaptive_;
+  CleanRuleStep step_;
   bool statically_pruned_ = false;
   RowSetNode* child_rows_;
   std::vector<RowId> rows_;
@@ -400,26 +418,18 @@ class HashJoinNode : public JoinSourceNode {
 /// its input rows unchanged and the final output reads the repaired cells.
 class CleanJoinedNode : public JoinSourceNode {
  public:
-  CleanJoinedNode(Table* table, size_t table_idx, const DenialConstraint* dc,
-                  CleanSelect* op, CostModel* cost,
-                  const FdRuleStats* rule_stats, const Expr* filter,
-                  CleaningOptions options, bool adaptive,
+  CleanJoinedNode(CleanRuleStep step, size_t table_idx,
                   std::unique_ptr<PlanNode> child);
 
-  std::string Label() const override;
+  std::string Label() const override { return step_.Label(); }
   Result<std::vector<JoinedRow>> ExecuteJoined(ExecContext* ctx) override;
-  bool NodeCleaningQuiescent() const override { return op_->quiescent(); }
+  bool NodeCleaningQuiescent() const override {
+    return step_.op->quiescent();
+  }
 
  private:
-  Table* table_;
-  size_t table_idx_;
-  const DenialConstraint* dc_;
-  CleanSelect* op_;
-  CostModel* cost_;
-  const FdRuleStats* rule_stats_;
-  const Expr* filter_;  ///< the table's predicate; nullable
-  CleaningOptions options_;
-  bool adaptive_;
+  CleanRuleStep step_;
+  size_t table_idx_;  ///< FROM index of the step's table
   JoinSourceNode* child_join_;
 };
 

@@ -244,6 +244,21 @@ struct RuleSlot {
   double unit_cost = 0.0;   ///< per-row cleaning price (optimizer path)
 };
 
+CleanRuleStep MakeCleanRuleStep(const RuleSlot& slot, const Expr* filter,
+                                const CleaningPlanContext& clean) {
+  CleanRuleStep step;
+  step.table = slot.binding->table;
+  step.dc = slot.dc;
+  step.op = slot.binding->op;
+  step.cost = slot.binding->cost;
+  step.rule_stats = slot.rstats;
+  step.filter = filter;
+  step.options = clean.options;
+  step.adaptive = clean.adaptive;
+  step.deferred = slot.deferred;
+  return step;
+}
+
 // Sorted-vector intersection test (involved_columns() is sorted; locked
 // column sets are sorted before the call).
 bool SortedIntersects(const std::vector<size_t>& a,
@@ -494,9 +509,7 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
     for (const RuleSlot& slot : table_rules[i]) {
       if (slot.deferred) continue;
       auto clean_node = std::make_unique<CleanSelectNode>(
-          slot.binding->table, slot.dc, slot.binding->op, slot.binding->cost,
-          slot.rstats, filter, clean->options, clean->adaptive,
-          std::move(node));
+          MakeCleanRuleStep(slot, filter, *clean), std::move(node));
       if (slot.statically_pruned) clean_node->set_statically_pruned(true);
       if (estimated) {
         clean_node->set_estimates(leaf_rows[i],
@@ -530,10 +543,9 @@ Result<Plan> Planner::PlanQuery(const SelectStmt& stmt,
         if (!slot.deferred) continue;
         const double after = std::min(leaf_rows[i], root_rows);
         auto deferred_node = std::make_unique<CleanJoinedNode>(
-            slot.binding->table, i, slot.dc, slot.binding->op,
-            slot.binding->cost, slot.rstats,
-            state->split.table_filters[i].get(), clean->options,
-            clean->adaptive, std::move(child));
+            MakeCleanRuleStep(slot, state->split.table_filters[i].get(),
+                              *clean),
+            i, std::move(child));
         deferred_node->set_estimates(after, slot.unit_cost * after);
         child = std::move(deferred_node);
       }

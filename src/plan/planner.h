@@ -66,8 +66,8 @@ struct CleaningRuleBinding {
   CostModel* cost = nullptr;
   /// Optional: the rule's incremental violation index. The optimizer reads
   /// its maintained count as a dirtiness signal when precomputed
-  /// statistics are absent (never synchronized at plan time — see
-  /// ThetaJoinDetector::maintained_violation_count).
+  /// statistics are absent (a const read: ingest already applied every
+  /// delta to it at the write).
   const ThetaJoinDetector* theta = nullptr;
 };
 

@@ -8,8 +8,9 @@
 //
 // Ingest is transactional and delta-aware: AppendRows/DeleteRows apply one
 // batch atomically and return a TableDelta naming the affected row ids;
-// delta_generation() moves on every batch, so delta-aware detectors keep
-// their coverage and catch up in O(delta).
+// whoever applies the batch pushes that delta into the derived state built
+// over the table (the engine: every rule's detectors), which keeps its
+// coverage and catches up in O(delta). Nothing polls the table for it.
 //
 // The derived column cache (storage/column_cache.h) is write-through: every
 // write below updates it itself, so it is never stale.
@@ -138,8 +139,8 @@ class Table {
   }
 
   /// Every tombstoned row id, in deletion order. Grows monotonically;
-  /// delta-aware consumers remember the prefix they consumed and catch up
-  /// from there in O(new deletions).
+  /// persisted by snapshots. Consumers of deletions take the TableDelta
+  /// instead (lint rule ingest-poll).
   const std::vector<RowId>& deleted_rows_log() const { return deleted_log_; }
 
   /// Lazily-built columnar projections of this table (flat typed arrays,
@@ -165,9 +166,9 @@ class Table {
   /// Transactional batch delete: every id must be in range, live, and
   /// distinct, or the whole batch is rejected. Rows become tombstones —
   /// ids stay stable and storage is retained as provenance. Tables managed
-  /// by a DaisyEngine should be deleted from through
-  /// DaisyEngine::DeleteRows, which also retracts repairs whose evidence
-  /// the deletion removed; detectors self-heal coverage either way.
+  /// by a DaisyEngine must be deleted from through DaisyEngine::DeleteRows,
+  /// which hands the delta to the rules' detectors and retracts repairs
+  /// whose evidence the deletion removed.
   Result<TableDelta> DeleteRows(std::vector<RowId> ids);
 
   void Reserve(size_t n) { rows_.reserve(n); }

@@ -184,7 +184,7 @@ TEST(CleanSelectTest, CleanRemainingChecksEverything) {
   ProvenanceStore prov;
   CleanSelect op(&t, &dc, &prov, nullptr, nullptr);
   EXPECT_FALSE(op.fully_checked());
-  auto res = op.CleanRemaining(CleaningOptions{}).ValueOrDie();
+  auto res = op.CleanRemaining().ValueOrDie();
   EXPECT_TRUE(op.fully_checked());
   EXPECT_EQ(res.errors_fixed, 5u);  // both groups repaired
   EXPECT_DOUBLE_EQ(op.checked_fraction(), 1.0);

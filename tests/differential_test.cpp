@@ -6,7 +6,9 @@
 //
 //  1. Delta-maintained detection state is bit-identical to from-scratch
 //     detection: the theta-join detector's maintained violation set (kept
-//     current via DetectDelta) equals a fresh DetectAll; the FD group state
+//     current via ApplyDelta + DetectDelta) equals a fresh DetectAll, and
+//     each delete retracts exactly the maintained pairs touching a deleted
+//     row; the FD group state
 //     (FdDeltaDetector) equals DetectFdViolations; the patched per-rule
 //     statistics equal a fresh Statistics::Compute.
 //
@@ -248,6 +250,18 @@ void RunDetectorDifferential(uint64_t seed) {
     } else {
       continue;  // queries are the engine-level harness's concern
     }
+    // The pairs a delete must retract: every maintained pair with a
+    // deleted endpoint (delta.deleted is ascending).
+    size_t touching = 0;
+    for (const ViolationPair& p : theta.maintained_violations()) {
+      if (std::binary_search(delta.deleted.begin(), delta.deleted.end(),
+                             p.t1) ||
+          std::binary_search(delta.deleted.begin(), delta.deleted.end(),
+                             p.t2)) {
+        ++touching;
+      }
+    }
+    EXPECT_EQ(theta.ApplyDelta(delta), touching);
     (void)theta.DetectDelta(delta);
     (void)fd_state.ApplyDelta(delta, nullptr);
 

@@ -424,6 +424,56 @@ TEST(EngineIngestTest, DeleteRetractingDcPairsRederivesSurvivingRepairs) {
   EXPECT_FALSE(emp->cell(0, 1).is_probabilistic());
 }
 
+TEST(EngineIngestTest, DetectorAppliesDeltaAtWrite) {
+  // Ingest deltas are pushed into the DC detector inside the writer
+  // section that applied them: right after AppendRows/DeleteRows returns,
+  // the detector's const view already reflects the batch — no later call
+  // has to sync it.
+  const Schema schema({{"salary", ValueType::kDouble},
+                       {"tax", ValueType::kDouble}});
+  ConstraintSet rules;
+  ASSERT_TRUE(rules
+                  .AddFromText("dc: !(t1.salary < t2.salary & t1.tax > t2.tax)",
+                               "emp", schema)
+                  .ok());
+  Database db;
+  {
+    Table t("emp", schema);
+    ASSERT_TRUE(t.AppendRow({Value(1000.0), Value(0.9)}).ok());  // A
+    ASSERT_TRUE(t.AppendRow({Value(2000.0), Value(0.2)}).ok());  // B
+    ASSERT_TRUE(t.AppendRow({Value(3000.0), Value(0.5)}).ok());  // C
+    ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  }
+  DaisyEngine engine(&db, rules,
+                     DaisyOptions{DaisyOptions::Mode::kIncremental});
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(engine.CleanAllRemaining().ok());
+  ASSERT_NE(engine.dc_detector("dc"), nullptr);
+  const ThetaJoinDetector& theta = *engine.dc_detector("dc");
+  ASSERT_TRUE(theta.FullyChecked());
+  ASSERT_EQ(theta.maintained_violations(),
+            (std::vector<ViolationPair>{{0, 1}, {0, 2}}));
+
+  // D conflicts with A, B and C; it joins the coverage unchecked at the
+  // write, and its pairs wait for the next touching query's DetectDelta.
+  ASSERT_TRUE(engine.AppendRows("emp", {{Value(4000.0), Value(0.1)}}).ok());
+  EXPECT_FALSE(theta.FullyChecked());
+  EXPECT_EQ(theta.maintained_violations(),
+            (std::vector<ViolationPair>{{0, 1}, {0, 2}}));
+
+  // Deleting C retracts (A,C) at the write.
+  ASSERT_TRUE(engine.DeleteRows("emp", {2}).ok());
+  EXPECT_FALSE(theta.FullyChecked());
+  EXPECT_EQ(theta.maintained_violations(),
+            (std::vector<ViolationPair>{{0, 1}}));
+
+  // Deleting the unchecked arrival restores full coverage at the write.
+  ASSERT_TRUE(engine.DeleteRows("emp", {3}).ok());
+  EXPECT_TRUE(theta.FullyChecked());
+  EXPECT_EQ(theta.maintained_violations(),
+            (std::vector<ViolationPair>{{0, 1}}));
+}
+
 TEST(EngineIngestTest, SettlingQueryAdmitsRepairedConflicts) {
   // The query that settles an ingest batch must apply the Example-3
   // extra-tuples semantics to the violations its delta drain repaired: a

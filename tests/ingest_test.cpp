@@ -220,6 +220,8 @@ TEST(ThetaDeltaTest, DeltaDetectionMatchesFromScratch) {
   ThetaJoinDetector detector(&t, &dc, 8);
   (void)detector.DetectAll();
   auto delta = t.AppendRows(RandomSalaryBatch(15, 12, 0.2)).ValueOrDie();
+  EXPECT_EQ(detector.ApplyDelta(delta), 0u);  // appends retract nothing
+  EXPECT_FALSE(detector.FullyChecked());
   (void)detector.DetectDelta(delta);
   EXPECT_TRUE(detector.FullyChecked());
   EXPECT_EQ(AsSet(detector.maintained_violations()),
@@ -242,6 +244,7 @@ TEST(ThetaDeltaTest, DeltaChecksEachPairExactlyOnce) {
   detector.set_pruning_enabled(false);
   (void)detector.DetectAll();
   auto delta = t.AppendRows(RandomSalaryBatch(d, 14, 0.3)).ValueOrDie();
+  (void)detector.ApplyDelta(delta);
   (void)detector.DetectDelta(delta);
   EXPECT_EQ(detector.pairs_checked(), n * d + d * (d - 1) / 2);
   // Re-feeding the same delta is a no-op (its rows are checked).
@@ -259,6 +262,7 @@ TEST(ThetaDeltaTest, SequentialDeltasStayExact) {
   for (uint64_t step = 0; step < 4; ++step) {
     auto delta =
         t.AppendRows(RandomSalaryBatch(5 + step, 18 + step, 0.25)).ValueOrDie();
+    (void)detector.ApplyDelta(delta);
     (void)detector.DetectDelta(delta);
     EXPECT_EQ(AsSet(detector.maintained_violations()),
               oracle::ViolatingPairs(t, dc))
@@ -278,7 +282,11 @@ TEST(ThetaDeltaTest, DeletePrunesMaintainedViolations) {
                                 detector.maintained_violations()[0].t2};
   std::sort(victims.begin(), victims.end());
   victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  ASSERT_TRUE(t.DeleteRows(victims).ok());
+  const size_t before = detector.maintained_violations().size();
+  auto delta = t.DeleteRows(victims).ValueOrDie();
+  const size_t retracted = detector.ApplyDelta(delta);
+  EXPECT_GT(retracted, 0u);
+  EXPECT_EQ(detector.maintained_violations().size(), before - retracted);
   EXPECT_EQ(AsSet(detector.maintained_violations()),
             oracle::ViolatingPairs(t, dc));
   EXPECT_TRUE(detector.FullyChecked());  // tombstones need no checking
@@ -293,6 +301,7 @@ TEST(ThetaDeltaTest, DeltaMatchesOracle) {
   const auto before = oracle::ViolatingPairs(t, dc);
   EXPECT_EQ(AsSet(columnar.DetectAll()), before);
   auto delta = t.AppendRows(RandomSalaryBatch(10, 24, 0.25)).ValueOrDie();
+  (void)columnar.ApplyDelta(delta);
   // The delta pass reports exactly the pairs the append introduced.
   std::set<std::pair<RowId, RowId>> added;
   for (const auto& pair : oracle::ViolatingPairs(t, dc)) {
@@ -303,17 +312,18 @@ TEST(ThetaDeltaTest, DeltaMatchesOracle) {
             oracle::ViolatingPairs(t, dc));
 }
 
-TEST(ThetaDeltaTest, PlainTableAppendsAutoIntegrateOnNextDetect) {
-  // Regression: rows appended through the plain Table API (no TableDelta
-  // handed to the detector) must not silently lose new-vs-checked-row
-  // coverage — the next DetectAll/DetectIncremental integrates them first.
+TEST(ThetaDeltaTest, AppliedAppendsIntegrateOnNextDetect) {
+  // Regression: applied appends no DetectDelta paid for must not silently
+  // lose new-vs-checked-row coverage — the next DetectAll /
+  // DetectIncremental integrates them first.
   Table t = RandomSalaryTable(40, 47, 0.2);
   DenialConstraint dc = SalaryDc(t.schema());
   ThetaJoinDetector detector(&t, &dc, 8);
   (void)detector.DetectAll();
   ASSERT_TRUE(detector.FullyChecked());
   // A conflicting row against the checked base: low salary, huge tax.
-  ASSERT_TRUE(t.AppendRow({Value(1500.0), Value(0.99)}).ok());
+  auto delta = t.AppendRows({{Value(1500.0), Value(0.99)}}).ValueOrDie();
+  (void)detector.ApplyDelta(delta);
   EXPECT_FALSE(detector.FullyChecked());
   auto found = AsSet(detector.DetectAll());
   EXPECT_TRUE(detector.FullyChecked());
@@ -326,8 +336,9 @@ TEST(ThetaDeltaTest, PlainTableAppendsAutoIntegrateOnNextDetect) {
   }
   EXPECT_EQ(AsSet(detector.maintained_violations()),
             oracle::ViolatingPairs(t, dc));
-  // DetectIncremental drains stray appends too.
-  ASSERT_TRUE(t.AppendRow({Value(1600.0), Value(0.98)}).ok());
+  // DetectIncremental drains applied appends too.
+  delta = t.AppendRows({{Value(1600.0), Value(0.98)}}).ValueOrDie();
+  (void)detector.ApplyDelta(delta);
   (void)detector.DetectIncremental({0, 1, 2});
   EXPECT_TRUE(detector.FullyChecked());
   EXPECT_EQ(AsSet(detector.maintained_violations()),
@@ -342,6 +353,7 @@ TEST(ThetaDeltaTest, DeltaInterleavedWithIncrementalQueries) {
   for (RowId r = 0; r < 20; ++r) first_half.push_back(r);
   (void)detector.DetectIncremental(first_half);
   auto delta = t.AppendRows(RandomSalaryBatch(8, 30, 0.25)).ValueOrDie();
+  (void)detector.ApplyDelta(delta);
   (void)detector.DetectDelta(delta);  // new rows checked vs ALL old rows
   std::vector<RowId> second_half;
   for (RowId r = 20; r < 40; ++r) second_half.push_back(r);
