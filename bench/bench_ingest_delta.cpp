@@ -4,11 +4,13 @@
 // Setup: a 50k-row salary/tax relation under the order DC
 // ¬(t1.salary < t2.salary ∧ t1.tax > t2.tax), fully checked, then an
 // append batch of {100, 1k, 10k} rows. Without delta maintenance the
-// post-ingest query pays a full re-detection over n+d rows; the delta path
-// (ApplyDelta, then DetectDelta — both timed) pays only the partition
-// rebuild and the new x old + new x new partial theta-join with pairwise
-// partition pruning. Both paths must produce the identical violation set
-// (checked here per batch).
+// post-ingest query pays a full re-detection over n+d rows — DetectAll's
+// order sweep for this DC shape, O(n log n + n²/64 + |V|), counting one
+// pair per reported violation; the delta path (ApplyDelta, then
+// DetectDelta — both timed) pays the partition rebuild and the new x old
+// + new x new partial theta-join with pairwise partition pruning, counting
+// every candidate pair. Both paths must produce the identical violation
+// set (checked here per batch).
 //
 // Output: one line per batch size with both wall times, the checked-pair
 // counts, and the speedup.

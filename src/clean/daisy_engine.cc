@@ -545,7 +545,7 @@ Status DaisyEngine::ApplyDeltaToRules(const std::string& table_name,
       if (state.theta->ApplyDelta(delta) > 0) {
         ProvenanceStore& prov = provenance_[table_name];
         prov.DropRule(state.table, name);
-        const std::vector<ViolationPair>& surviving =
+        const std::vector<ViolationPair> surviving =
             state.theta->maintained_violations();
         if (!surviving.empty()) {
           DAISY_RETURN_IF_ERROR(
@@ -588,7 +588,11 @@ Status DaisyEngine::ImportProvenance(const std::string& table,
     if (!prepared_) return Status::Internal("Prepare() must be called first");
     DAISY_RETURN_IF_ERROR(CheckWritableLocked());
     DAISY_ASSIGN_OR_RETURN(Table * t, db_->GetTable(table));
-    provenance_[table].MergeFrom(store, t);
+    auto records = store.records();
+    CanonicalizeDcRecordsLocked(&records);
+    ProvenanceStore canonical;
+    canonical.RestoreRecords(std::move(records));
+    provenance_[table].MergeFrom(canonical, t);
     ++epoch_;
     if (wal_ != nullptr && !wal_replay_) {
       DAISY_ASSIGN_OR_RETURN(
@@ -598,6 +602,19 @@ Status DaisyEngine::ImportProvenance(const std::string& table,
     }
   }
   return AwaitWalTicket(ticket);
+}
+
+void DaisyEngine::CanonicalizeDcRecordsLocked(
+    std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>>* records)
+    const {
+  for (auto& [cell, recs] : *records) {
+    for (RepairRecord& rec : recs) {
+      auto it = rules_.find(rec.rule);
+      if (it != rules_.end() && it->second.theta != nullptr) {
+        CanonicalizeDcRecord(&rec);
+      }
+    }
+  }
 }
 
 Result<bool> DaisyEngine::RuleFullyChecked(const std::string& rule) const {

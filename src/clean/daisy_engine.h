@@ -399,6 +399,15 @@ class DaisyEngine {
                                         uint64_t epoch, std::string* trace)
       DAISY_REQUIRES_SHARED(*mu_);
 
+  /// Puts every record of a non-FD DC rule into the canonical form
+  /// ProvenanceStore::AppendSources maintains (CanonicalizeDcRecord).
+  /// Records that enter from outside — snapshots and provenance imports,
+  /// possibly written by an older build — pass through here before the
+  /// store appends to them. FD records are left exactly as written.
+  void CanonicalizeDcRecordsLocked(
+      std::map<ProvenanceStore::CellKey, std::vector<RepairRecord>>* records)
+      const DAISY_REQUIRES_SHARED(*mu_);
+
   // Persistence internals (persist/engine_persist.cc). All run with the
   // caller holding mu_ exclusively, except RestorePersistedState's WAL
   // replay which re-enters the public operations.

@@ -66,6 +66,23 @@ ThetaJoinDetector::ThetaJoinDetector(const Table* table,
       break;
     }
   }
+  // The order sweep's shape: exactly two cross-tuple order atoms, each
+  // comparing a column with itself (CompileAtoms makes both kRank).
+  const std::vector<PredicateAtom>& atoms = dc_->atoms();
+  auto same_column_order = [](const PredicateAtom& a) {
+    return !a.right_is_constant && a.left_tuple != a.right_tuple &&
+           a.left_column == a.right_column &&
+           (a.op == CompareOp::kLt || a.op == CompareOp::kLeq ||
+            a.op == CompareOp::kGt || a.op == CompareOp::kGeq);
+  };
+  if (atoms.size() == 2 && same_column_order(atoms[0]) &&
+      same_column_order(atoms[1])) {
+    // Orient both as `t1.col op t2.col`.
+    auto t1_op = [](const PredicateAtom& a) {
+      return a.left_tuple == 0 ? a.op : FlipOp(a.op);
+    };
+    sweep_ = OrderSweep{0, t1_op(atoms[0]), 1, t1_op(atoms[1])};
+  }
   BuildPartitions();
   ResetCoverage();
 }
@@ -79,7 +96,8 @@ void ThetaJoinDetector::ResetCoverage() {
   // Nothing is checked, so a plain DetectAll covers every pair — no
   // appended rows owe a separate integration pass.
   integrated_rows_ = table_->num_rows();
-  maintained_.clear();
+  partners_.assign(table_->num_rows(), {});
+  maintained_count_ = 0;
 }
 
 void ThetaJoinDetector::Rebuild() {
@@ -94,20 +112,30 @@ size_t ThetaJoinDetector::ApplyDelta(const TableDelta& delta) {
   // deleted rows become trivially checked and their pairs are pruned.
   if (!delta.appended.empty() && checked_.size() <= delta.appended.back()) {
     checked_.resize(delta.appended.back() + 1, false);
+    partners_.resize(checked_.size());
   }
   size_t retracted = 0;
   if (!delta.deleted.empty()) {
     for (RowId r : delta.deleted) {
       if (r < checked_.size()) MarkRowChecked(r);
     }
-    auto dead = [&](const ViolationPair& p) {
-      return !table_->is_live(p.t1) || !table_->is_live(p.t2);
-    };
-    const size_t before = maintained_.size();
-    maintained_.erase(
-        std::remove_if(maintained_.begin(), maintained_.end(), dead),
-        maintained_.end());
-    retracted = before - maintained_.size();
+    if (maintained_count_ > 0) {
+      const size_t before = maintained_count_;
+      auto dead = [&](RowId r) { return !table_->is_live(r); };
+      for (RowId t1 = 0; t1 < partners_.size(); ++t1) {
+        std::vector<RowId>& list = partners_[t1];
+        if (list.empty()) continue;
+        const size_t size = list.size();
+        if (dead(t1)) {
+          std::vector<RowId>().swap(list);
+        } else {
+          list.erase(std::remove_if(list.begin(), list.end(), dead),
+                     list.end());
+        }
+        maintained_count_ -= size - list.size();
+      }
+      retracted = before - maintained_count_;
+    }
   }
   // Every append may have reallocated the arrays the compiled atoms point
   // into, and every delete changes the live rows the partitions hold.
@@ -122,20 +150,35 @@ void ThetaJoinDetector::AssertToldOfAppends() const {
 
 void ThetaJoinDetector::MergeIntoMaintained(
     const std::vector<ViolationPair>& found) {
-  if (found.empty()) return;
-  // maintained_ is kept sorted, so only the new pairs need sorting before
-  // an in-place merge. The unique pass is load-bearing: DetectAll /
-  // DetectIncremental merge their auto-drained pairs a second time when
-  // the combined result vector is folded in at the end of the call.
-  std::vector<ViolationPair> sorted_found = found;
-  std::sort(sorted_found.begin(), sorted_found.end());
-  const size_t old_size = maintained_.size();
-  maintained_.insert(maintained_.end(), sorted_found.begin(),
-                     sorted_found.end());
-  std::inplace_merge(maintained_.begin(), maintained_.begin() + old_size,
-                     maintained_.end());
-  maintained_.erase(std::unique(maintained_.begin(), maintained_.end()),
-                    maintained_.end());
+  std::vector<RowId> unsorted;  // lists that took an out-of-order partner
+  for (const ViolationPair& p : found) {
+    std::vector<RowId>& list = partners_[p.t1];
+    if (!list.empty() && p.t2 <= list.back() &&
+        (unsorted.empty() || unsorted.back() != p.t1)) {
+      unsorted.push_back(p.t1);
+    }
+    list.push_back(p.t2);
+    ++maintained_count_;
+  }
+  std::sort(unsorted.begin(), unsorted.end());
+  unsorted.erase(std::unique(unsorted.begin(), unsorted.end()),
+                 unsorted.end());
+  for (RowId t1 : unsorted) {
+    std::vector<RowId>& list = partners_[t1];
+    const size_t size = list.size();
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    maintained_count_ -= size - list.size();
+  }
+}
+
+std::vector<ViolationPair> ThetaJoinDetector::maintained_violations() const {
+  std::vector<ViolationPair> out;
+  out.reserve(maintained_count_);
+  for (RowId t1 = 0; t1 < partners_.size(); ++t1) {
+    for (RowId t2 : partners_[t1]) out.push_back({t1, t2});
+  }
+  return out;
 }
 
 ThetaPersistState ThetaJoinDetector::ExportState() const {
@@ -144,7 +187,7 @@ ThetaPersistState ThetaJoinDetector::ExportState() const {
   for (bool b : checked_) state.checked.push_back(b ? 1 : 0);
   state.integrated_rows = integrated_rows_;
   state.deleted_log_pos = table_->num_rows() - table_->num_live_rows();
-  state.maintained = maintained_;
+  state.maintained = maintained_violations();
   return state;
 }
 
@@ -175,7 +218,9 @@ Status ThetaJoinDetector::ImportState(const ThetaPersistState& state) {
     if (state.checked[r] != 0) MarkRowChecked(r);
   }
   integrated_rows_ = state.integrated_rows;
-  maintained_ = state.maintained;
+  partners_.assign(state.checked.size(), {});
+  maintained_count_ = 0;
+  MergeIntoMaintained(state.maintained);
   return Status::OK();
 }
 
@@ -447,12 +492,23 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectAll() {
   pairs_checked_ = 0;
   partitions_pruned_ = 0;
 
-  // Integrate applied appends no DetectDelta paid for first: the cell scan
-  // below skips pairs with a checked endpoint, so the new x checked-old
+  // Integrate applied appends no DetectDelta paid for first: the scans
+  // below skip pairs with a checked endpoint, so the new x checked-old
   // pairs must be paid here or they would be lost forever once everything
   // is marked checked.
-  std::vector<ViolationPair> drained = DrainAppends(checked_.size());
+  std::vector<ViolationPair> out = DrainAppends(checked_.size());
+  std::vector<ViolationPair> found =
+      sweep_.has_value() && pruning_enabled_ ? SweepOrderPairs()
+                                             : ScanMatrix();
+  std::fill(checked_.begin(), checked_.end(), true);
+  checked_count_ = checked_.size();
+  MergeIntoMaintained(found);
+  if (out.empty()) return found;
+  out.insert(out.end(), found.begin(), found.end());
+  return out;
+}
 
+std::vector<ViolationPair> ThetaJoinDetector::ScanMatrix() {
   // Surviving matrix cells of the upper triangle, in deterministic order.
   const size_t p = boundaries_.size();
   std::vector<std::pair<uint32_t, uint32_t>> cells;
@@ -467,36 +523,142 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectAll() {
     }
   }
 
-  std::vector<ViolationPair> out = std::move(drained);
+  std::vector<ViolationPair> out;
   const size_t workers = std::min(threads_, std::max<size_t>(1, cells.size()));
   if (workers <= 1) {
     for (const auto& [i, j] : cells) ScanCell(i, j, &out, &pairs_checked_);
-  } else {
-    // Each cell collects into its own buffer; buffers are concatenated in
-    // cell order afterwards, so the output is identical to the serial scan.
-    std::vector<std::vector<ViolationPair>> cell_out(cells.size());
-    std::vector<size_t> cell_pairs(cells.size(), 0);
-    std::atomic<size_t> next{0};
-    auto work = [&]() {
-      while (true) {
-        const size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= cells.size()) break;
-        ScanCell(cells[k].first, cells[k].second, &cell_out[k],
-                 &cell_pairs[k]);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t t = 0; t < workers; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    for (size_t k = 0; k < cells.size(); ++k) {
-      pairs_checked_ += cell_pairs[k];
-      out.insert(out.end(), cell_out[k].begin(), cell_out[k].end());
-    }
+    return out;
   }
-  std::fill(checked_.begin(), checked_.end(), true);
-  checked_count_ = checked_.size();
-  MergeIntoMaintained(out);
+  // Each cell collects into its own buffer; buffers are concatenated in
+  // cell order afterwards, so the output is identical to the serial scan.
+  std::vector<std::vector<ViolationPair>> cell_out(cells.size());
+  std::vector<size_t> cell_pairs(cells.size(), 0);
+  std::atomic<size_t> next{0};
+  auto work = [&]() {
+    while (true) {
+      const size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= cells.size()) break;
+      ScanCell(cells[k].first, cells[k].second, &cell_out[k], &cell_pairs[k]);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (size_t t = 0; t < workers; ++t) pool.emplace_back(work);
+  for (std::thread& t : pool) t.join();
+  for (size_t k = 0; k < cells.size(); ++k) {
+    pairs_checked_ += cell_pairs[k];
+    out.insert(out.end(), cell_out[k].begin(), cell_out[k].end());
+  }
+  return out;
+}
+
+std::vector<ViolationPair> ThetaJoinDetector::SweepOrderPairs() {
+  const CompiledAtom& xa = compiled_[sweep_->x_atom];
+  const CompiledAtom& ya = compiled_[sweep_->y_atom];
+  const uint32_t* xrank = xa.lranks;
+  const uint32_t* yrank = ya.lranks;
+  // Rows with a null in X or Y satisfy no order atom (NullCompare), so
+  // they take part in no violation.
+  std::vector<RowId> rows;
+  for (RowId r = 0; r < checked_.size(); ++r) {
+    if (checked_[r] || !table_->is_live(r)) continue;
+    if (xa.lnulls[r] != 0 || ya.lnulls[r] != 0) continue;
+    rows.push_back(r);
+  }
+  std::vector<ViolationPair> out;
+  const size_t m = rows.size();
+  if (m < 2) return out;
+
+  // Y order: bit q of `inserted` stands for the row at position q of
+  // by_y. A row's run of equal Y ranks is [y_lo, y_hi) in that order.
+  std::vector<uint32_t> by_y(m);
+  for (uint32_t i = 0; i < m; ++i) by_y[i] = i;
+  std::sort(by_y.begin(), by_y.end(), [&](uint32_t a, uint32_t b) {
+    const uint32_t ra = yrank[rows[a]], rb = yrank[rows[b]];
+    return ra != rb ? ra < rb : a < b;
+  });
+  std::vector<uint32_t> y_pos(m), y_lo(m), y_hi(m);
+  for (size_t q = 0; q < m;) {
+    size_t e = q + 1;
+    while (e < m && yrank[rows[by_y[e]]] == yrank[rows[by_y[q]]]) ++e;
+    for (size_t k = q; k < e; ++k) {
+      y_pos[by_y[k]] = static_cast<uint32_t>(k);
+      y_lo[by_y[k]] = static_cast<uint32_t>(q);
+      y_hi[by_y[k]] = static_cast<uint32_t>(e);
+    }
+    q = e;
+  }
+
+  // X order, swept so the inserted rows always lie on the side of the
+  // current row that opX asks of its partner: t1.X < t2.X pairs t1 with
+  // larger X, so `<`/`<=` sweep X descending and `>`/`>=` ascending.
+  const CompareOp x_op = sweep_->x_op;
+  const bool descending = x_op == CompareOp::kLt || x_op == CompareOp::kLeq;
+  const bool strict = x_op == CompareOp::kLt || x_op == CompareOp::kGt;
+  std::vector<uint32_t> by_x(m);
+  for (uint32_t i = 0; i < m; ++i) by_x[i] = i;
+  std::sort(by_x.begin(), by_x.end(), [&](uint32_t a, uint32_t b) {
+    const uint32_t ra = xrank[rows[a]], rb = xrank[rows[b]];
+    if (ra != rb) return descending ? ra > rb : ra < rb;
+    return a < b;
+  });
+
+  std::vector<uint64_t> inserted((m + 63) / 64, 0);
+  const CompareOp y_op = sweep_->y_op;
+  // Reports every inserted row whose Y satisfies `Y[i] opY Y[partner]`:
+  // one contiguous range of Y positions, scanned a word at a time.
+  auto report = [&](uint32_t i) {
+    size_t from = 0, to = m;
+    switch (y_op) {
+      case CompareOp::kLt:  // partner Y above i's run
+        from = y_hi[i];
+        break;
+      case CompareOp::kLeq:
+        from = y_lo[i];
+        break;
+      case CompareOp::kGt:  // partner Y below i's run
+        to = y_lo[i];
+        break;
+      default:  // kGeq
+        to = y_hi[i];
+        break;
+    }
+    if (from >= to) return;
+    const size_t last_word = (to - 1) / 64;
+    for (size_t w = from / 64; w <= last_word; ++w) {
+      uint64_t bits = inserted[w];
+      if (w == from / 64) bits &= ~uint64_t{0} << (from % 64);
+      if (w == last_word && to % 64 != 0) {
+        bits &= (uint64_t{1} << (to % 64)) - 1;
+      }
+      while (bits != 0) {
+        const uint32_t j =
+            by_y[w * 64 + static_cast<size_t>(__builtin_ctzll(bits))];
+        bits &= bits - 1;
+        if (j != i) out.push_back({rows[i], rows[j]});
+      }
+    }
+  };
+  auto insert = [&](uint32_t i) {
+    inserted[y_pos[i] / 64] |= uint64_t{1} << (y_pos[i] % 64);
+  };
+  // Groups of equal X: a strict opX pairs a row only with rows of other
+  // groups, so the group queries before it is inserted; a non-strict one
+  // also pairs equal X, so the group is inserted first (the row itself is
+  // skipped in report).
+  for (size_t g = 0; g < m;) {
+    size_t e = g + 1;
+    while (e < m && xrank[rows[by_x[e]]] == xrank[rows[by_x[g]]]) ++e;
+    if (!strict) {
+      for (size_t k = g; k < e; ++k) insert(by_x[k]);
+    }
+    for (size_t k = g; k < e; ++k) report(by_x[k]);
+    if (strict) {
+      for (size_t k = g; k < e; ++k) insert(by_x[k]);
+    }
+    g = e;
+  }
+  pairs_checked_ += out.size();
   return out;
 }
 
@@ -507,8 +669,8 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
   partitions_pruned_ = 0;
   // Un-integrated appends drain first (see DetectAll): after this, result
   // rows from the new range are checked and take the fast skip below.
-  std::vector<ViolationPair> out = DrainAppends(checked_.size());
-  if (result_rows.empty()) return out;
+  std::vector<ViolationPair> drained = DrainAppends(checked_.size());
+  if (result_rows.empty()) return drained;
 
   // Boundary statistics of the query answer, playing the role of one side of
   // the partial matrix.
@@ -526,6 +688,7 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
 
   // Hot-loop invariants: result rows already checked never produce new
   // pairs, so drop them once instead of testing checked_[r] per pair.
+  std::vector<ViolationPair> out;
   std::vector<RowId> active;
   active.reserve(result_rows.size());
   for (RowId r : result_rows) {
@@ -559,7 +722,8 @@ std::vector<ViolationPair> ThetaJoinDetector::DetectIncremental(
   }
   for (RowId r : result_rows) MarkRowChecked(r);
   MergeIntoMaintained(out);
-  return out;
+  drained.insert(drained.end(), out.begin(), out.end());
+  return drained;
 }
 
 std::vector<ViolationPair> ThetaJoinDetector::DetectDelta(

@@ -50,14 +50,35 @@
 // append reallocated: the Detect* entries assert (debug builds) that the
 // detector's row count matches the table's.
 //
-// DetectAll optionally fans the surviving partition cells out over a small
-// thread pool. Results are merged in cell order, so the violation vector is
-// identical for any thread count.
+// DetectAll has a second path for the paper's running DC shape, exactly
+// two cross-tuple order atoms each comparing a column with itself
+// (t1.X opX t2.X ∧ t1.Y opY t2.Y, op ∈ {<, ≤, >, ≥}): an order sweep in
+// the style of Khayyat et al.'s inequality join. Both atoms compile to
+// kRank, so it works on dense ranks and is exact for any column type. It
+// sorts the unchecked live rows by X rank, walks groups of equal X in the
+// direction opX asks of the partner, and reports for each row every
+// already-inserted row whose Y rank satisfies opY, read from a bitset kept
+// in Y order: O(n log n + n²/64 + |V|) instead of ~n²/2 pair checks.
+// Rows with a null in X or Y satisfy no order atom and are skipped. Every
+// other shape, DetectIncremental, DetectDelta (whose pairs_checked is the
+// cost model's d_i) and set_pruning_enabled(false) (the tests' oracle)
+// keep the partition matrix.
+//
+// The matrix scan of DetectAll optionally fans the surviving partition
+// cells out over a small thread pool. Results are merged in cell order,
+// so the violation vector is identical for any thread count; the sweep is
+// serial.
+//
+// The maintained violation set is stored as sorted partner lists indexed
+// by t1 with an O(1) count: folding in a delta's pairs appends to the
+// lists (re-sorting only those that took an out-of-order partner), so it
+// costs O(delta), not O(|V|).
 
 #ifndef DAISY_DETECT_THETA_JOIN_H_
 #define DAISY_DETECT_THETA_JOIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -138,9 +159,14 @@ class ThetaJoinDetector {
   /// empty). Needed only after an in-place original-value edit.
   void Rebuild();
 
-  /// Checks the full upper-triangle matrix (both tuple orientations per
-  /// pair) with partition pruning. Marks every row checked. The result is
-  /// deterministic and independent of the thread count.
+  /// Finds every violation among rows not yet checked (after draining
+  /// un-integrated appends) and marks every row checked. A DC of exactly
+  /// two cross-tuple order atoms on one column each (t1.X opX t2.X ∧
+  /// t1.Y opY t2.Y, op ∈ {<, ≤, >, ≥}) takes the order sweep (see the file
+  /// comment); any other DC, and every call with pruning disabled, checks
+  /// the upper-triangle partition matrix (both tuple orientations per
+  /// pair) with partition pruning. The result is deterministic and
+  /// independent of the thread count.
   std::vector<ViolationPair> DetectAll();
 
   /// Partial theta-join: checks `result_rows` (must be sorted ascending)
@@ -165,12 +191,11 @@ class ThetaJoinDetector {
   /// DetectDelta calls, sorted by (t1, t2): every violating pair whose
   /// endpoints are both covered (pairs touching deleted rows are pruned).
   /// After full coverage it equals a from-scratch DetectAll, bit for bit.
-  const std::vector<ViolationPair>& maintained_violations() const {
-    return maintained_;
-  }
+  /// Flattened from the per-row partner lists on each call: O(|V|).
+  std::vector<ViolationPair> maintained_violations() const;
 
-  /// Size of the maintained set (plan-time cardinality estimation).
-  size_t maintained_violation_count() const { return maintained_.size(); }
+  /// Size of the maintained set (plan-time cardinality estimation), O(1).
+  size_t maintained_violation_count() const { return maintained_count_; }
 
   /// Algorithm 2, Estimate_Errors: per-partition estimated violation counts
   /// derived from boundary-range overlaps. Index = partition id.
@@ -191,12 +216,16 @@ class ThetaJoinDetector {
 
   size_t num_partitions() const { return boundaries_.size(); }
 
-  // Instrumentation (reset by each Detect* call).
+  // Instrumentation (reset by each Detect* call). pairs_checked counts
+  // one per candidate pair the partitioned theta join evaluates (both
+  // orientations at once), and one per oriented pair the order sweep
+  // reports (see DetectAll); a DetectAll that drains appends first adds
+  // the drain's theta-join count.
   size_t pairs_checked() const { return pairs_checked_; }
   size_t partitions_pruned() const { return partitions_pruned_; }
 
-  /// Disables partition pruning: the unpruned oracle of the tests and the
-  /// pruning ablation of the operator micro-bench.
+  /// Disables partition pruning and the order sweep: the unpruned oracle
+  /// of the tests and the pruning ablation of the operator micro-bench.
   void set_pruning_enabled(bool enabled) { pruning_enabled_ = enabled; }
 
   /// Captures the coverage state for a snapshot. `deleted_log_pos` is the
@@ -268,7 +297,17 @@ class ThetaJoinDetector {
       ++checked_count_;
     }
   }
+  /// Folds found pairs into the partner lists. A pair past its list's
+  /// last partner appends; only lists that received an out-of-order
+  /// partner are re-sorted (and de-duplicated) afterwards, so the cost is
+  /// O(|found|) plus the sort of the touched lists, never O(|V|).
   void MergeIntoMaintained(const std::vector<ViolationPair>& found);
+  /// DetectAll's theta-join core: the surviving upper-triangle partition
+  /// cells, scanned over unchecked rows. Adds to pairs_checked_.
+  std::vector<ViolationPair> ScanMatrix();
+  /// DetectAll's order sweep over unchecked rows (sweep_ must be set).
+  /// Adds one to pairs_checked_ per reported pair.
+  std::vector<ViolationPair> SweepOrderPairs();
   /// Integrates appended rows [integrated_rows_, end) — the DetectDelta
   /// core, shared with the auto-drain DetectAll/DetectIncremental run
   /// first. Appends to pairs_checked_.
@@ -301,9 +340,20 @@ class ThetaJoinDetector {
   std::vector<PartitionStats> boundaries_;
   std::vector<bool> checked_;          ///< row id -> cross-checked?
   size_t checked_count_ = 0;           ///< number of true bits in checked_
-  /// Violations among covered rows, sorted by (t1, t2); see
-  /// maintained_violations().
-  std::vector<ViolationPair> maintained_;
+  /// The maintained violation set as sorted partner lists: partners_[t1]
+  /// holds every t2 of a maintained pair (t1, t2), ascending. Indexed by
+  /// row id (grown by ApplyDelta); see maintained_violations().
+  std::vector<std::vector<RowId>> partners_;
+  size_t maintained_count_ = 0;  ///< total length of the partner lists
+  /// The two-order-atom shape DetectAll sweeps instead of scanning: atom
+  /// indices into compiled_ and their ops, oriented as `t1.col op t2.col`.
+  struct OrderSweep {
+    size_t x_atom = 0;
+    CompareOp x_op = CompareOp::kLt;
+    size_t y_atom = 0;
+    CompareOp y_op = CompareOp::kLt;
+  };
+  std::optional<OrderSweep> sweep_;
   /// Rows below this id are integrated: cross-checked against the checked
   /// set (or known-unchecked). Rows at or above arrived later and still
   /// owe their new x old pass.

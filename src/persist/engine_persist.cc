@@ -347,7 +347,9 @@ Status DaisyEngine::RestoreEngineState(const persist::EngineSnapshot& snap) {
       return Status::InvalidArgument("snapshot provenance names unknown "
                                      "table '" + table + "'");
     }
-    provenance_[table].RestoreRecords(records);
+    auto canonical = records;
+    CanonicalizeDcRecordsLocked(&canonical);
+    provenance_[table].RestoreRecords(std::move(canonical));
   }
   epoch_ = snap.epoch;
   return Status::OK();

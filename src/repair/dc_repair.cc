@@ -60,10 +60,14 @@ Result<RepairStats> RepairDcViolations(
                                    dc.ToString());
   }
 
-  // Accumulate fixes per cell across every violating pair, consolidating
-  // range candidates to the tightest bound per direction, then flush one
+  // Accumulate fixes per cell across every violating pair, then flush one
   // provenance append per cell (a per-pair flush would rebuild cells
-  // quadratically on heavily violating data).
+  // quadratically on heavily violating data). Each fix adds one count to
+  // the cell's original value and one to its candidate: range candidates
+  // consolidate to the tightest bound per direction, point candidates
+  // (inverted `!=` atoms) count per distinct partner value. Both merges
+  // go through MergeCandidateSource, so the accumulated sources do not
+  // depend on the order of `violations`.
   struct CellAccumulator {
     std::vector<CandidateSource> sources;
     std::vector<RowId> conflicts;
@@ -71,34 +75,11 @@ Result<RepairStats> RepairDcViolations(
   std::map<std::pair<RowId, size_t>, CellAccumulator> cells;
 
   auto accumulate = [&](RowId row, size_t col, const Value& original,
-                        const Value& bound, CandidateKind kind,
+                        const Value& candidate, CandidateKind kind,
                         const ViolationPair& pair) {
     CellAccumulator& acc = cells[{row, col}];
-    bool have_original = false;
-    bool have_range = false;
-    for (CandidateSource& src : acc.sources) {
-      if (src.kind == CandidateKind::kPoint && src.value == original) {
-        src.count += 1.0;
-        have_original = true;
-      } else if (src.kind == kind) {
-        src.count += 1.0;
-        if ((kind == CandidateKind::kLessThan ||
-             kind == CandidateKind::kLessEq)
-                ? bound < src.value
-                : bound > src.value) {
-          src.value = bound;
-        }
-        have_range = true;
-      }
-    }
-    if (!have_original) {
-      acc.sources.push_back({original, 1.0, CandidateKind::kPoint});
-    }
-    if (!have_range && kind != CandidateKind::kPoint) {
-      acc.sources.push_back({bound, 1.0, kind});
-    } else if (!have_range) {
-      acc.sources.push_back({bound, 1.0, CandidateKind::kPoint});
-    }
+    MergeCandidateSource(&acc.sources, {original, 1.0, CandidateKind::kPoint});
+    MergeCandidateSource(&acc.sources, {candidate, 1.0, kind});
     acc.conflicts.push_back(pair.t1);
     acc.conflicts.push_back(pair.t2);
   };

@@ -1,14 +1,11 @@
 #include "repair/provenance.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace daisy {
 
 namespace {
-
-bool IsRangeKind(CandidateKind kind) {
-  return kind != CandidateKind::kPoint;
-}
 
 // True if bound `a` is a tighter constraint than `b` for `kind`: for the
 // less-than family smaller bounds dominate, for greater-than larger ones.
@@ -26,7 +23,39 @@ bool TighterBound(CandidateKind kind, const Value& a, const Value& b) {
   return false;
 }
 
+// Canonical source order: kind first; points by value. A record holds at
+// most one source per range kind, so ranges compare by kind alone — the
+// bound is the payload MergeCandidateSource tightens.
+bool SourceLess(const CandidateSource& a, const CandidateSource& b) {
+  if (a.kind != b.kind) return a.kind < b.kind;
+  return a.kind == CandidateKind::kPoint && a.value.Compare(b.value) < 0;
+}
+
 }  // namespace
+
+void MergeCandidateSource(std::vector<CandidateSource>* sources,
+                          const CandidateSource& src) {
+  auto it = std::lower_bound(sources->begin(), sources->end(), src,
+                             SourceLess);
+  if (it == sources->end() || SourceLess(src, *it)) {
+    sources->insert(it, src);
+    return;
+  }
+  it->count += src.count;
+  if (TighterBound(src.kind, src.value, it->value)) it->value = src.value;
+}
+
+void CanonicalizeDcRecord(RepairRecord* record) {
+  std::vector<CandidateSource> sources;
+  sources.reserve(record->sources.size());
+  for (const CandidateSource& src : record->sources) {
+    MergeCandidateSource(&sources, src);
+  }
+  record->sources = std::move(sources);
+  std::vector<RowId>& rows = record->conflicting_rows;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+}
 
 void ProvenanceStore::Record(Table* table, RowId row, size_t col,
                              RepairRecord record) {
@@ -47,6 +76,10 @@ void ProvenanceStore::AppendSources(
     Table* table, RowId row, size_t col, const std::string& rule,
     int32_t pair_tag, const std::vector<CandidateSource>& sources,
     const std::vector<RowId>& conflicting_rows) {
+  assert(std::is_sorted(conflicting_rows.begin(), conflicting_rows.end()) &&
+         std::adjacent_find(conflicting_rows.begin(),
+                            conflicting_rows.end()) ==
+             conflicting_rows.end());
   std::vector<RepairRecord>& recs = records_[{row, col}];
   RepairRecord* target = nullptr;
   for (RepairRecord& r : recs) {
@@ -60,37 +93,25 @@ void ProvenanceStore::AppendSources(
     target = &recs.back();
   }
   for (const CandidateSource& src : sources) {
-    bool merged = false;
-    for (CandidateSource& existing : target->sources) {
-      if (existing.kind != src.kind) continue;
-      if (IsRangeKind(src.kind)) {
-        // Range candidates of the same direction consolidate to the
-        // tightest bound (a value satisfying the tightest satisfies all
-        // contributing constraints); frequencies accumulate.
-        existing.count += src.count;
-        if (TighterBound(src.kind, src.value, existing.value)) {
-          existing.value = src.value;
-        }
-        merged = true;
-        break;
-      }
-      if (existing.value == src.value) {
-        existing.count += src.count;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) target->sources.push_back(src);
+    MergeCandidateSource(&target->sources, src);
   }
+  // Union into the sorted set: ids past the old last element append, and
+  // so do smaller ids the old prefix lacks. The input is sorted, so those
+  // precede the larger ones and the tail [old, end) is sorted: one
+  // in-place merge restores the set.
+  std::vector<RowId>& set = target->conflicting_rows;
+  const size_t old = set.size();
+  bool inserted_inside = false;
   for (RowId r : conflicting_rows) {
-    bool present = false;
-    for (RowId existing : target->conflicting_rows) {
-      if (existing == r) {
-        present = true;
-        break;
-      }
+    if (old == 0 || r > set[old - 1]) {
+      set.push_back(r);
+    } else if (!std::binary_search(set.begin(), set.begin() + old, r)) {
+      set.push_back(r);
+      inserted_inside = true;
     }
-    if (!present) target->conflicting_rows.push_back(r);
+  }
+  if (inserted_inside) {
+    std::inplace_merge(set.begin(), set.begin() + old, set.end());
   }
   RebuildCell(table, row, col);
 }
@@ -177,52 +198,37 @@ void ProvenanceStore::RebuildCell(Table* table, RowId row, size_t col) const {
     table->SetCandidates(row, col, {});
     return;
   }
-  // Union sources across rules: key = (pair_tag, kind, value), counts sum.
-  struct Merged {
-    int32_t tag;
-    CandidateKind kind;
-    Value value;
-    double count;
-  };
-  std::vector<Merged> merged;
+  // Union sources across rules per pair tag. MergeCandidateSource sums
+  // counts, keeps the tightest range bound and holds each tag's sources in
+  // canonical (kind, value) order, so the result is independent of record
+  // arrival. Tags come out ascending.
+  std::vector<std::pair<int32_t, std::vector<CandidateSource>>> by_tag;
   for (const RepairRecord& rec : it->second) {
+    auto tag = std::lower_bound(
+        by_tag.begin(), by_tag.end(), rec.pair_tag,
+        [](const auto& entry, int32_t t) { return entry.first < t; });
+    if (tag == by_tag.end() || tag->first != rec.pair_tag) {
+      tag = by_tag.insert(tag, {rec.pair_tag, {}});
+    }
     for (const CandidateSource& src : rec.sources) {
-      bool found = false;
-      for (Merged& m : merged) {
-        if (m.tag != rec.pair_tag || m.kind != src.kind) continue;
-        if (IsRangeKind(src.kind)) {
-          m.count += src.count;
-          if (TighterBound(src.kind, src.value, m.value)) m.value = src.value;
-          found = true;
-          break;
-        }
-        if (m.value == src.value) {
-          m.count += src.count;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        merged.push_back({rec.pair_tag, src.kind, src.value, src.count});
-      }
+      MergeCandidateSource(&tag->second, src);
     }
   }
-  // Deterministic order regardless of record arrival: sort by tag, kind,
-  // then value.
-  std::sort(merged.begin(), merged.end(), [](const Merged& a, const Merged& b) {
-    if (a.tag != b.tag) return a.tag < b.tag;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.value.Compare(b.value) < 0;
-  });
+  // Exact capacity: the cell keeps this vector for as long as it stays
+  // probabilistic.
+  size_t total = 0;
+  for (const auto& entry : by_tag) total += entry.second.size();
   std::vector<Candidate> cands;
-  cands.reserve(merged.size());
-  for (const Merged& m : merged) {
-    Candidate c;
-    c.value = m.value;
-    c.prob = m.count;
-    c.pair_id = m.tag;
-    c.kind = m.kind;
-    cands.push_back(std::move(c));
+  cands.reserve(total);
+  for (const auto& [tag, sources] : by_tag) {
+    for (const CandidateSource& src : sources) {
+      Candidate c;
+      c.value = src.value;
+      c.prob = src.count;
+      c.pair_id = tag;
+      c.kind = src.kind;
+      cands.push_back(std::move(c));
+    }
   }
   NormalizeCandidates(&cands);
   table->SetCandidates(row, col, std::move(cands));

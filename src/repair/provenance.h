@@ -37,9 +37,26 @@ struct RepairRecord {
   int32_t pair_tag = 0;
   std::vector<CandidateSource> sources;
   /// Row ids of the conflicting tuples this fix was derived from (the T_i
-  /// sets in Lemma 4) — kept for inference and audits.
+  /// sets in Lemma 4) — kept for inference and audits. FD records list
+  /// them in group order; DC records keep a sorted set.
   std::vector<RowId> conflicting_rows;
 };
+
+/// Merges `src` into `sources`, which is kept in canonical (kind, value)
+/// order — the order RebuildCell emits candidates in. A point source adds
+/// its count to the point of equal value; a range source adds its count to
+/// the one source of its kind and keeps the tightest bound (a value
+/// satisfying the tightest satisfies every contributing constraint). With
+/// DC repair's unit counts the result depends only on the multiset of
+/// merged sources, not on their order.
+void MergeCandidateSource(std::vector<CandidateSource>* sources,
+                          const CandidateSource& src);
+
+/// Puts a DC record into the form AppendSources maintains: sources merged
+/// into canonical order, conflicting_rows sorted and de-duplicated. Used
+/// on records from outside (snapshots and provenance imports, possibly
+/// written by an older build that kept arrival order).
+void CanonicalizeDcRecord(RepairRecord* record);
 
 /// Records repairs per (row, column) cell of a single table and rebuilds the
 /// probabilistic candidate sets from them.
@@ -51,9 +68,14 @@ class ProvenanceStore {
   /// record, then rebuilds the cell in `table`.
   void Record(Table* table, RowId row, size_t col, RepairRecord record);
 
-  /// Accumulates sources into the (rule, tag) record of a cell — counts for
-  /// already-present (kind, value) sources add up. Used by DC repair, where
-  /// successive violating pairs each contribute fixes to the same cell.
+  /// Accumulates sources into the (rule, tag) record of a cell through
+  /// MergeCandidateSource, and unions `conflicting_rows` (sorted, unique)
+  /// into the record's sorted set: ids past the set's last element append,
+  /// the rest are binary-searched, and at most one in-place merge follows,
+  /// so a call costs O(k log m) for k incoming rows against m present ones.
+  /// Used by DC repair, where successive violating pairs each contribute
+  /// fixes to the same cell; the record then depends only on the set of
+  /// violations, not on the order they arrived in.
   void AppendSources(Table* table, RowId row, size_t col,
                      const std::string& rule, int32_t pair_tag,
                      const std::vector<CandidateSource>& sources,

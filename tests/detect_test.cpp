@@ -648,5 +648,197 @@ INSTANTIATE_TEST_SUITE_P(
                       ThetaParam{60, 13, 6, 0.15},
                       ThetaParam{30, 14, 16, 0.5}));
 
+// ------------------------------------------------------- order sweep --
+
+// DetectAll's order sweep (two same-column cross-tuple order atoms) against
+// the unpruned partitioned theta join, the oracle that never sweeps.
+
+std::vector<ViolationPair> Sorted(std::vector<ViolationPair> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+Value RandomCell(Rng* rng, ValueType type, bool with_nulls) {
+  if (with_nulls && rng->Bernoulli(0.1)) return Value::Null();
+  switch (type) {
+    case ValueType::kInt:
+      return Value(rng->UniformInt(0, 5));  // few values: many ties
+    case ValueType::kDouble:
+      return Value(0.5 * static_cast<double>(rng->UniformInt(0, 12)));
+    default: {
+      std::string s(1, static_cast<char>('a' + rng->UniformInt(0, 4)));
+      if (rng->Bernoulli(0.5)) s += static_cast<char>('a' + rng->UniformInt(0, 4));
+      return Value(s);
+    }
+  }
+}
+
+std::vector<std::vector<Value>> RandomXyRows(Rng* rng, size_t n,
+                                             const Schema& schema,
+                                             bool with_nulls) {
+  std::vector<std::vector<Value>> rows(n);
+  for (auto& row : rows) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      row.push_back(RandomCell(rng, schema.column(c).type, with_nulls));
+    }
+  }
+  return rows;
+}
+
+std::vector<RowId> RandomLiveRows(Rng* rng, const Table& t, double p) {
+  std::vector<RowId> rows;
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    if (t.is_live(r) && rng->Bernoulli(p)) rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST(OrderSweepTest, MatchesUnprunedThetaJoinAcrossSeeds) {
+  const char* kOps[] = {"<", "<=", ">", ">="};
+  const ValueType kTypes[] = {ValueType::kInt, ValueType::kDouble,
+                              ValueType::kString};
+  for (uint64_t seed = 0; seed < 128; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919 + 1);
+    const Schema schema({{"x", kTypes[seed % 3]},
+                         {"y", kTypes[(seed / 3) % 3]}});
+    // All 16 (opX, opY) combinations, with atoms written in either tuple
+    // orientation and either order.
+    const std::string x_op = kOps[seed % 4];
+    const std::string y_op = kOps[(seed / 4) % 4];
+    const std::string x_atom = (seed / 16) % 2 == 0
+                                   ? "t1.x " + x_op + " t2.x"
+                                   : "t2.x " + std::string(kOps[(seed % 4) ^ 2]) +
+                                         " t1.x";
+    const std::string y_atom = "t1.y " + y_op + " t2.y";
+    const std::string text =
+        (seed / 32) % 2 == 0 ? "dc: !(" + x_atom + " & " + y_atom + ")"
+                             : "dc: !(" + y_atom + " & " + x_atom + ")";
+    SCOPED_TRACE(text);
+    DenialConstraint dc = ParseConstraint(text, "xy", schema).ValueOrDie();
+    const bool with_nulls = seed % 5 == 0;
+
+    Table t("xy", schema);
+    ASSERT_TRUE(t.AppendRows(RandomXyRows(&rng, 20 + rng.UniformInt(0, 20),
+                                          schema, with_nulls))
+                    .ok());
+    ThetaJoinDetector sweep(&t, &dc, 4);
+    ThetaJoinDetector oracle_join(&t, &dc, 4);
+    oracle_join.set_pruning_enabled(false);
+
+    auto apply = [&](const TableDelta& delta) {
+      EXPECT_EQ(sweep.ApplyDelta(delta), oracle_join.ApplyDelta(delta));
+    };
+    auto detect_all = [&]() {
+      EXPECT_EQ(Sorted(sweep.DetectAll()), Sorted(oracle_join.DetectAll()));
+      EXPECT_EQ(sweep.maintained_violations(),
+                oracle_join.maintained_violations());
+      EXPECT_TRUE(sweep.FullyChecked());
+    };
+
+    // Partial coverage: a query-sized DetectIncremental first.
+    if (rng.Bernoulli(0.5)) {
+      const std::vector<RowId> result = RandomLiveRows(&rng, t, 0.3);
+      EXPECT_EQ(Sorted(sweep.DetectIncremental(result)),
+                Sorted(oracle_join.DetectIncremental(result)));
+    }
+    // Interleaved appends and deletes, drained by the next DetectAll.
+    for (int round = 0; round < 2; ++round) {
+      if (rng.Bernoulli(0.7)) {
+        apply(t.AppendRows(RandomXyRows(&rng, rng.UniformInt(1, 8), schema,
+                                        with_nulls))
+                  .ValueOrDie());
+      }
+      if (rng.Bernoulli(0.5)) {
+        apply(t.DeleteRows(RandomLiveRows(&rng, t, 0.1)).ValueOrDie());
+      }
+      if (rng.Bernoulli(0.3)) {
+        const std::vector<RowId> result = RandomLiveRows(&rng, t, 0.2);
+        EXPECT_EQ(Sorted(sweep.DetectIncremental(result)),
+                  Sorted(oracle_join.DetectIncremental(result)));
+      }
+      detect_all();
+    }
+    EXPECT_EQ(AsSet(sweep.maintained_violations()),
+              oracle::ViolatingPairs(t, dc));
+  }
+}
+
+// The sweep's pairs_checked is one per reported pair, for any thread count,
+// on top of the theta-join count of a drain it runs first.
+TEST(OrderSweepTest, CountsOnePairPerReportedViolation) {
+  Schema schema = SalarySchema();
+  Table t("emp", schema);
+  // Monotone taxes except row 2 (overtaxed) and row 4 (undertaxed):
+  // violations (0,4), (1,4), (2,3), (2,4), (3,4), t1 the lower salary.
+  const double rows[][2] = {{1000, 0.10}, {2000, 0.20}, {3000, 0.90},
+                            {4000, 0.40}, {5000, 0.05}};
+  for (const auto& r : rows) {
+    ASSERT_TRUE(t.AppendRow({Value(r[0]), Value(r[1])}).ok());
+  }
+  DenialConstraint dc = SalaryDc(schema);
+  for (size_t threads : {1u, 4u}) {
+    ThetaJoinDetector detector(&t, &dc, 2, threads);
+    const std::vector<ViolationPair> found = detector.DetectAll();
+    EXPECT_EQ(AsSet(found), oracle::ViolatingPairs(t, dc));
+    EXPECT_EQ(found.size(), 5u);
+    EXPECT_EQ(detector.pairs_checked(), 5u) << threads << " threads";
+  }
+
+  // A DetectAll that drains an un-integrated append pays the drain's
+  // theta-join pairs (new x old, pruning may skip some) plus one per pair
+  // the sweep reports among the rows left unchecked.
+  Table u = RandomSalaryTable(40, 71, 0.3);
+  ThetaJoinDetector detector(&u, &dc, 4);
+  ThetaJoinDetector drain_only(&u, &dc, 4);
+  std::vector<RowId> half;
+  for (RowId r = 0; r < 20; ++r) half.push_back(r);
+  (void)detector.DetectIncremental(half);
+  (void)drain_only.DetectIncremental(half);
+  const TableDelta delta =
+      u.AppendRows({{Value(5000.0), Value(0.9)}}).ValueOrDie();
+  (void)detector.ApplyDelta(delta);
+  (void)drain_only.ApplyDelta(delta);
+  const std::vector<ViolationPair> drained = drain_only.DetectDelta(delta);
+  const size_t drain_pairs = drain_only.pairs_checked();
+  const std::vector<ViolationPair> all = detector.DetectAll();
+  EXPECT_EQ(detector.pairs_checked(),
+            drain_pairs + (all.size() - drained.size()));
+  EXPECT_EQ(AsSet(detector.maintained_violations()),
+            oracle::ViolatingPairs(u, dc));
+}
+
+// Shapes the sweep does not take keep the partition matrix: a third atom,
+// a cross-column atom, or disabled pruning all count candidate pairs.
+TEST(OrderSweepTest, OtherShapesKeepThePartitionMatrix) {
+  Schema schema({{"salary", ValueType::kDouble},
+                 {"tax", ValueType::kDouble},
+                 {"bonus", ValueType::kDouble}});
+  Table t("emp", schema);
+  Rng rng(5);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(rng.UniformDouble(0, 10)),
+                             Value(rng.UniformDouble(0, 10)),
+                             Value(rng.UniformDouble(0, 10))})
+                    .ok());
+  }
+  for (const char* text :
+       {"dc: !(t1.salary < t2.salary & t1.tax > t2.tax & t1.bonus < t2.bonus)",
+        "dc: !(t1.salary < t2.tax & t1.tax > t2.tax)"}) {
+    DenialConstraint dc = ParseConstraint(text, "emp", schema).ValueOrDie();
+    ThetaJoinDetector pruned(&t, &dc, 1);  // one partition: nothing pruned
+    const auto found = pruned.DetectAll();
+    EXPECT_EQ(AsSet(found), oracle::ViolatingPairs(t, dc)) << text;
+    EXPECT_EQ(pruned.pairs_checked(), 30u * 29u / 2u) << text;
+  }
+  DenialConstraint dc = ParseConstraint(
+      "dc: !(t1.salary < t2.salary & t1.tax > t2.tax)", "emp", schema)
+                            .ValueOrDie();
+  ThetaJoinDetector unpruned(&t, &dc, 4);
+  unpruned.set_pruning_enabled(false);
+  (void)unpruned.DetectAll();
+  EXPECT_EQ(unpruned.pairs_checked(), 30u * 29u / 2u);
+}
+
 }  // namespace
 }  // namespace daisy

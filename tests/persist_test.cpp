@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -389,6 +390,71 @@ const std::vector<std::string> kProbeQueries = {
     "SELECT zip, COUNT(*) FROM emp GROUP BY zip",
     "SELECT * FROM emp WHERE tax > 0.5",
 };
+
+// A snapshot written by an older build lists a DC record's conflicts in
+// arrival order (repeats possible) and its sources in arrival order.
+// Restore puts them in canonical form, so the next AppendSources unions
+// into a sorted set and the engine matches one that never restarted.
+TEST(EnginePersistence, RestoreCanonicalizesOldDcRecords) {
+  const std::string kQuery = "SELECT * FROM emp WHERE tax > 0.5";
+  TempDir dir;
+  {
+    Database db;
+    ASSERT_TRUE(db.AddTable(SeedEmpTable()).ok());
+    DaisyEngine engine(&db, EmpRules());
+    ASSERT_TRUE(engine.Prepare().ok());
+    ASSERT_TRUE(engine.Query(kQuery).ok());
+    ASSERT_TRUE(engine.EnablePersistence(dir.path()).ok());
+  }
+  const std::string snap_path = dir.Sub("snapshot-000001.dsnap");
+  Result<persist::EngineSnapshot> snap = persist::ReadSnapshot(snap_path);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  size_t scrambled = 0;
+  std::map<std::string, ProvenanceStore> stores;
+  for (auto& [table, records] : snap.value().provenance) {
+    for (auto& [cell, recs] : records) {
+      for (RepairRecord& rec : recs) {
+        if (rec.rule != "psi" || rec.conflicting_rows.size() < 2) continue;
+        std::vector<RowId>& rows = rec.conflicting_rows;
+        std::reverse(rows.begin(), rows.end());
+        rows.push_back(rows[rows.size() / 2]);
+        std::reverse(rec.sources.begin(), rec.sources.end());
+        ++scrambled;
+      }
+    }
+    stores[table].RestoreRecords(records);
+  }
+  ASSERT_GT(scrambled, 0u);
+  const ConstraintSet rules = EmpRules();
+  persist::EngineSnapshotView view;
+  view.epoch = snap.value().epoch;
+  view.options = snap.value().options;
+  for (const Table& t : snap.value().tables) view.tables.push_back(&t);
+  view.constraints = &rules;
+  view.rules = snap.value().rules;
+  view.provenance = &stores;
+  ASSERT_TRUE(persist::WriteSnapshot(snap_path, view).ok());
+
+  Database rec_db;
+  Result<std::unique_ptr<DaisyEngine>> recovered =
+      DaisyEngine::Open(dir.path(), &rec_db);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  Database ref_db;
+  ASSERT_TRUE(ref_db.AddTable(SeedEmpTable()).ok());
+  DaisyEngine reference(&ref_db, EmpRules());
+  ASSERT_TRUE(reference.Prepare().ok());
+  ASSERT_TRUE(reference.Query(kQuery).ok());
+  // An overtaxed arrival conflicts with most rows: its delta repair
+  // appends sources and conflicts to the restored records.
+  for (DaisyEngine* e : {recovered.value().get(), &reference}) {
+    ASSERT_TRUE(e->AppendRows("emp", {{Value(1), Value("SF"), Value(1500.0),
+                                       Value(0.95)}})
+                    .ok());
+    ASSERT_TRUE(e->Query(kQuery).ok());
+  }
+  ExpectEnginesEquivalent(recovered.value().get(), &reference,
+                          kProbeQueries);
+}
 
 TEST(EnginePersistence, CheckpointRestartIsBitIdentical) {
   TempDir dir;

@@ -228,6 +228,73 @@ TEST(ProvenanceTest, AppendSourcesAccumulates) {
   EXPECT_EQ((*recs)[0].conflicting_rows, (std::vector<RowId>{0, 1}));
 }
 
+TEST(ProvenanceTest, AppendSourcesUnionsConflictSets) {
+  Table t("c", CitySchema());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value("SF")}).ok());
+  ProvenanceStore prov;
+  auto append = [&](const std::vector<RowId>& rows) {
+    prov.AppendSources(&t, 0, 1, "dc", 0,
+                       {{Value("SF"), 1.0, CandidateKind::kPoint}}, rows);
+    return (*prov.RecordsFor(0, 1))[0].conflicting_rows;
+  };
+  // Empty target: the incoming set as it is.
+  EXPECT_EQ(append({4, 9}), (std::vector<RowId>{4, 9}));
+  // Every id past the last one: the append-only path.
+  EXPECT_EQ(append({12, 20}), (std::vector<RowId>{4, 9, 12, 20}));
+  // Only ids already present: unchanged.
+  EXPECT_EQ(append({4, 12, 20}), (std::vector<RowId>{4, 9, 12, 20}));
+  // Interleaved: new ids below, between and past the present ones, plus
+  // one duplicate.
+  EXPECT_EQ(append({1, 9, 10, 15, 21}),
+            (std::vector<RowId>{1, 4, 9, 10, 12, 15, 20, 21}));
+  EXPECT_EQ(append({}), (std::vector<RowId>{1, 4, 9, 10, 12, 15, 20, 21}));
+  EXPECT_EQ((*prov.RecordsFor(0, 1))[0].sources[0].count, 5.0);
+}
+
+TEST(ProvenanceTest, AppendSourcesKeepsCanonicalSourceOrder) {
+  Table t("c", CitySchema());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value("SF")}).ok());
+  ProvenanceStore prov;
+  prov.AppendSources(&t, 0, 1, "dc", 0,
+                     {{Value("SF"), 1.0, CandidateKind::kPoint},
+                      {Value("LA"), 1.0, CandidateKind::kLessEq}},
+                     {0});
+  prov.AppendSources(&t, 0, 1, "dc", 0,
+                     {{Value("NY"), 1.0, CandidateKind::kGreaterThan},
+                      {Value("AA"), 1.0, CandidateKind::kLessEq},
+                      {Value("LA"), 1.0, CandidateKind::kPoint}},
+                     {1});
+  // (kind, value) order; the two <= bounds consolidate to the tightest.
+  const std::vector<CandidateSource>& src = (*prov.RecordsFor(0, 1))[0].sources;
+  ASSERT_EQ(src.size(), 4u);
+  EXPECT_EQ(src[0].value, Value("LA"));
+  EXPECT_EQ(src[0].kind, CandidateKind::kPoint);
+  EXPECT_EQ(src[1].value, Value("SF"));
+  EXPECT_EQ(src[1].kind, CandidateKind::kPoint);
+  EXPECT_EQ(src[2].value, Value("AA"));
+  EXPECT_EQ(src[2].kind, CandidateKind::kLessEq);
+  EXPECT_EQ(src[2].count, 2.0);
+  EXPECT_EQ(src[3].value, Value("NY"));
+  EXPECT_EQ(src[3].kind, CandidateKind::kGreaterThan);
+}
+
+TEST(ProvenanceTest, CanonicalizeDcRecordSortsAndMerges) {
+  RepairRecord rec{"dc",
+                   0,
+                   {{Value(7.0), 1.0, CandidateKind::kGreaterEq},
+                    {Value(3.0), 2.0, CandidateKind::kPoint},
+                    {Value(9.0), 1.0, CandidateKind::kGreaterEq},
+                    {Value(1.0), 1.0, CandidateKind::kPoint}},
+                   {9, 2, 9, 5, 2}};
+  CanonicalizeDcRecord(&rec);
+  EXPECT_EQ(rec.conflicting_rows, (std::vector<RowId>{2, 5, 9}));
+  ASSERT_EQ(rec.sources.size(), 3u);
+  EXPECT_EQ(rec.sources[0].value, Value(1.0));
+  EXPECT_EQ(rec.sources[1].value, Value(3.0));
+  EXPECT_EQ(rec.sources[2].value, Value(9.0));
+  EXPECT_EQ(rec.sources[2].count, 2.0);
+}
+
 // ------------------------------------------------------------- FD repair --
 
 Table CitiesTable() {
@@ -429,6 +496,127 @@ TEST(DcRepairTest, RejectsFdInput) {
       ParseConstraint("FD zip -> city", "cities", CitySchema()).ValueOrDie();
   ProvenanceStore prov;
   EXPECT_FALSE(RepairDcViolations(&t, dc, {}, &prov).ok());
+}
+
+// Regression: every partner value of an inverted `!=` atom is its own
+// point candidate. Row 0 (LA) conflicts with SF and NY as t1; its city
+// cell must keep both, not just the larger.
+TEST(DcRepairTest, NotEqualAtomKeepsEveryPartnerValue) {
+  Schema s({{"salary", ValueType::kDouble}, {"city", ValueType::kString}});
+  auto dc = ParseConstraint("dc: !(t1.salary < t2.salary & t1.city != t2.city)",
+                            "emp", s)
+                .ValueOrDie();
+  const std::vector<ViolationPair> pairs = {{0, 1}, {0, 2}, {1, 2}};
+  std::vector<ViolationPair> reversed(pairs.rbegin(), pairs.rend());
+  std::vector<Table> tables;
+  std::vector<ProvenanceStore> stores(2);
+  const std::vector<ViolationPair>* orders[] = {&pairs, &reversed};
+  for (const std::vector<ViolationPair>* order : orders) {
+    Table t("emp", s);
+    ASSERT_TRUE(t.AppendRow({Value(1000.0), Value("LA")}).ok());
+    ASSERT_TRUE(t.AppendRow({Value(2000.0), Value("SF")}).ok());
+    ASSERT_TRUE(t.AppendRow({Value(3000.0), Value("NY")}).ok());
+    ASSERT_TRUE(
+        RepairDcViolations(&t, dc, *order, &stores[tables.size()]).ok());
+    tables.push_back(std::move(t));
+  }
+  const std::vector<RepairRecord>* recs = stores[0].RecordsFor(0, 1);
+  ASSERT_NE(recs, nullptr);
+  ASSERT_EQ(recs->size(), 1u);
+  const std::vector<CandidateSource>& src = (*recs)[0].sources;
+  ASSERT_EQ(src.size(), 3u);
+  EXPECT_EQ(src[0].value, Value("LA"));
+  EXPECT_EQ(src[0].count, 2.0);
+  EXPECT_EQ(src[1].value, Value("NY"));
+  EXPECT_EQ(src[1].count, 1.0);
+  EXPECT_EQ(src[2].value, Value("SF"));
+  EXPECT_EQ(src[2].count, 1.0);
+  for (const CandidateSource& c : src) {
+    EXPECT_EQ(c.kind, CandidateKind::kPoint);
+  }
+  const Cell& city0 = tables[0].cell(0, 1);
+  ASSERT_EQ(city0.candidates().size(), 3u);
+  EXPECT_EQ(city0.MostProbable(), Value("LA"));
+  EXPECT_NEAR(city0.candidates()[0].prob, 0.5, 1e-12);
+  // The reversed pair order gives the same records and cells.
+  EXPECT_EQ(stores[0].records().size(), stores[1].records().size());
+  for (RowId r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_TRUE(tables[0].cell(r, c) == tables[1].cell(r, c));
+    }
+  }
+}
+
+Table RandomRepairTable(uint64_t seed, const Schema& schema) {
+  Rng rng(seed);
+  const char* kCities[] = {"LA", "SF", "NY", "SEA"};
+  Table t("emp", schema);
+  for (int i = 0; i < 30; ++i) {
+    // Few salaries and a noisy tax: ties and many violations.
+    const double salary = 1000.0 * static_cast<double>(rng.UniformInt(1, 8));
+    const double tax = 0.05 * static_cast<double>(rng.UniformInt(0, 10));
+    EXPECT_TRUE(t.AppendRow({Value(salary), Value(tax),
+                             Value(kCities[rng.UniformInt(0, 3)])})
+                    .ok());
+  }
+  return t;
+}
+
+// Seeded property: a DC repair depends on the set of violating pairs only.
+// A shuffled copy of the pairs, fed in two calls, yields the same records
+// (sources, counts, conflict sets) and the same cells as one call in
+// detection order.
+TEST(DcRepairTest, RepairIsIndependentOfPairOrder) {
+  Schema s({{"salary", ValueType::kDouble},
+            {"tax", ValueType::kDouble},
+            {"city", ValueType::kString}});
+  for (const char* text :
+       {"dc: !(t1.salary < t2.salary & t1.tax > t2.tax)",
+        "dc: !(t1.salary <= t2.salary & t1.city != t2.city)"}) {
+    auto dc = ParseConstraint(text, "emp", s).ValueOrDie();
+    for (uint64_t seed = 0; seed < 25; ++seed) {
+      SCOPED_TRACE(std::string(text) + " seed " + std::to_string(seed));
+      Table a = RandomRepairTable(seed, s);
+      Table b = RandomRepairTable(seed, s);
+      ThetaJoinDetector detector(&a, &dc, 4);
+      const std::vector<ViolationPair> pairs = detector.DetectAll();
+      ASSERT_FALSE(pairs.empty());
+      std::vector<ViolationPair> shuffled = pairs;
+      Rng rng(seed + 1000);
+      rng.Shuffle(&shuffled);
+      const size_t half = shuffled.size() / 2;
+      ProvenanceStore pa, pb;
+      ASSERT_TRUE(RepairDcViolations(&a, dc, pairs, &pa).ok());
+      ASSERT_TRUE(RepairDcViolations(
+                      &b, dc, {shuffled.begin() + half, shuffled.end()}, &pb)
+                      .ok());
+      ASSERT_TRUE(RepairDcViolations(
+                      &b, dc, {shuffled.begin(), shuffled.begin() + half}, &pb)
+                      .ok());
+      ASSERT_EQ(pa.records().size(), pb.records().size());
+      for (auto ia = pa.records().begin(), ib = pb.records().begin();
+           ia != pa.records().end(); ++ia, ++ib) {
+        ASSERT_EQ(ia->first, ib->first);
+        ASSERT_EQ(ia->second.size(), 1u);
+        ASSERT_EQ(ib->second.size(), 1u);
+        const RepairRecord& ra = ia->second[0];
+        const RepairRecord& rb = ib->second[0];
+        EXPECT_EQ(ra.conflicting_rows, rb.conflicting_rows);
+        ASSERT_EQ(ra.sources.size(), rb.sources.size());
+        for (size_t k = 0; k < ra.sources.size(); ++k) {
+          EXPECT_EQ(ra.sources[k].value, rb.sources[k].value);
+          EXPECT_EQ(ra.sources[k].value.type(), rb.sources[k].value.type());
+          EXPECT_EQ(ra.sources[k].count, rb.sources[k].count);
+          EXPECT_EQ(ra.sources[k].kind, rb.sources[k].kind);
+        }
+      }
+      for (RowId r = 0; r < a.num_rows(); ++r) {
+        for (size_t c = 0; c < a.num_columns(); ++c) {
+          EXPECT_TRUE(a.cell(r, c) == b.cell(r, c)) << r << "," << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
